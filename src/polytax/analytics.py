@@ -1,15 +1,18 @@
 """Trait analytics: boolean matrix, correlations, distances, and the MST.
 
 Each policy category gets a 0/1 signal series over the trait columns.
-Pearson correlation is undefined for pairs involving a constant series.
-Distances are Euclidean; the minimum-spanning tree is built with
-Kruskal's algorithm and union-find, with lexicographic label tie-breaks
-so that output is deterministic.
+Pearson correlation and Euclidean distance are both computed from the
+integer co-occurrence counts of those series, so every value is a
+correctly rounded function of exact integers and does not depend on the
+BLAS build. Pearson correlation is undefined (NaN) for pairs involving a
+constant series. The minimum-spanning tree is built with Kruskal's
+algorithm and union-find, with lexicographic label tie-breaks so that
+output is deterministic; its pruned distance matrix and adjacency matrix
+are computed on access from the edge list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class SignalSeries:
 @dataclass(frozen=True)
 class CorrelationMatrix:
     labels: tuple[str, ...]
-    cells: tuple[tuple[Optional[float], ...], ...]  # None = undefined
+    cells: np.ndarray  # float, shape (n, n); NaN = undefined
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,25 @@ class DistanceMatrix:
 class MstResult:
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
-    pruned: tuple[tuple[Optional[float], ...], ...]  # non-tree cells are None
-    adjacency: np.ndarray  # int 0/1, shape (n, n)
+
+    @property
+    def pruned(self) -> DistanceMatrix:
+        """Tree edge weights, 0 on the diagonal and NaN off the tree."""
+        n = len(self.labels)
+        cells = np.full((n, n), np.nan)
+        np.fill_diagonal(cells, 0.0)
+        for i, j, weight in self.edges:
+            cells[i, j] = cells[j, i] = weight
+        return DistanceMatrix(self.labels, cells)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """int 0/1 matrix of shape (n, n) with a 1 for each tree edge."""
+        n = len(self.labels)
+        adjacency = np.zeros((n, n), dtype=int)
+        for i, j, _ in self.edges:
+            adjacency[i, j] = adjacency[j, i] = 1
+        return adjacency
 
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
@@ -104,42 +124,36 @@ def signal_series(matrix: TraitMatrix, category_id: str) -> SignalSeries:
     return SignalSeries(category_id, tuple(int(v) for v in row))
 
 
+def _cooccurrence(matrix: TraitMatrix, what: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(n11, n1, k): pairwise co-occurrence counts, row trait counts, columns.
+
+    The 0/1 rows are multiplied as floats, so every count is an exact
+    integer whatever order the BLAS sums in.
+    """
+    if len(matrix.row_labels) < 2:
+        raise PolicyError("E_BAD_FILTER", f"{what} needs at least two rows")
+    x = matrix.cells.astype(float)
+    return x @ x.T, x.sum(axis=1), x.shape[1]
+
+
 def pearson_correlation(matrix: TraitMatrix) -> CorrelationMatrix:
     """Pairwise Pearson r over the 0/1 rows.
 
-    A cell is None whenever either row is constant (zero standard
-    deviation), including the diagonal of a constant row.
+    r = (k*n11 - n1*n2) / sqrt(n1*(k - n1) * n2*(k - n2)). A cell is NaN
+    whenever either row is constant (zero standard deviation), including
+    the diagonal of a constant row: both terms of the ratio are then 0.
     """
-    if len(matrix.row_labels) < 2:
-        raise PolicyError("E_BAD_FILTER", "correlation needs at least two rows")
-    data = matrix.cells.astype(float)
-    centered = data - data.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered**2).sum(axis=1))
-    constant = norms == 0.0
-
-    n = data.shape[0]
-    cells: list[tuple[Optional[float], ...]] = []
-    for i in range(n):
-        row: list[Optional[float]] = []
-        for j in range(n):
-            if constant[i] or constant[j]:
-                row.append(None)
-            else:
-                r = float(np.dot(centered[i], centered[j]) / (norms[i] * norms[j]))
-                row.append(max(-1.0, min(1.0, r)))
-        cells.append(tuple(row))
-    return CorrelationMatrix(matrix.row_labels, tuple(cells))
+    n11, n1, k = _cooccurrence(matrix, "correlation")
+    spread = n1 * (k - n1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = (k * n11 - np.outer(n1, n1)) / np.sqrt(np.outer(spread, spread))
+    return CorrelationMatrix(matrix.row_labels, cells)
 
 
 def euclidean_distance(matrix: TraitMatrix) -> DistanceMatrix:
-    """d(i, j) = sqrt(sum_k (x_ik - x_jk)^2); sqrt(Hamming) for 0/1 rows."""
-    if len(matrix.row_labels) < 2:
-        raise PolicyError("E_BAD_FILTER", "distance needs at least two rows")
-    data = matrix.cells.astype(float)
-    diff = data[:, None, :] - data[None, :, :]
-    cells = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(cells, 0.0)
-    return DistanceMatrix(matrix.row_labels, cells)
+    """d(i, j) = sqrt(sum_k (x_ik - x_jk)^2) = sqrt(n1 + n2 - 2*n11) for 0/1 rows."""
+    n11, n1, _ = _cooccurrence(matrix, "distance")
+    return DistanceMatrix(matrix.row_labels, np.sqrt(n1[:, None] + n1[None, :] - 2 * n11))
 
 
 class UnionFind:
@@ -192,21 +206,7 @@ def kruskal_mst(dist: DistanceMatrix) -> MstResult:
             edges.append((i, j, weight))
             if len(edges) == n - 1:
                 break
-
-    adjacency = np.zeros((n, n), dtype=int)
-    pruned_grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        pruned_grid[i][i] = 0.0
-    for i, j, weight in edges:
-        adjacency[i, j] = adjacency[j, i] = 1
-        pruned_grid[i][j] = pruned_grid[j][i] = weight
-
-    return MstResult(
-        labels=labels,
-        edges=tuple(edges),
-        pruned=tuple(tuple(row) for row in pruned_grid),
-        adjacency=adjacency,
-    )
+    return MstResult(labels, tuple(edges))
 
 
 def trait_less_category_ids(model: TaxonomyModel) -> list[str]:

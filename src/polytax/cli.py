@@ -1,31 +1,38 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors.
-The bundled dataset is the default input; POLYTAX_DATA or --input
-override it.
+Every IngestError and PolicyError ends the command with its diagnostics
+on stderr and exit code 1, never with a traceback. The bundled dataset
+is the default input; POLYTAX_DATA or --input override it.
 """
 from __future__ import annotations
 
-import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import click
 
 from . import analytics, enumeration, export, ingest
-from .model import PolicyError, TaxonomyModel, validate_model
+from .model import Diagnostic, PolicyError, TaxonomyModel
+
+
+def _report(diags: Iterable[Diagnostic]) -> None:
+    for d in diags:
+        click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
 
 
 def _load_input(input_path: Optional[str]) -> TaxonomyModel:
+    """The model in input_path, or the bundled dataset; raises IngestError."""
     if input_path is None:
         return ingest.load_bundled_dataset()
     model, diags = ingest.load_model_from_path(input_path)
-    errors = [d for d in diags if d.is_error()]
-    if model is None or errors:
-        for d in errors or diags:
-            click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
-        raise SystemExit(1)
+    if model is None or any(d.is_error() for d in diags):
+        raise ingest.IngestError(diags)
     return model
+
+
+def _trait_matrix(input_path: Optional[str], null_mode: str) -> analytics.TraitMatrix:
+    return analytics.build_trait_matrix(_load_input(input_path), null_mode)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -48,7 +55,20 @@ null_mode_option = click.option(
 out_option = click.option("--out", default=None, type=click.Path(), help="Output file.")
 
 
-@click.group()
+class _Main(click.Group):
+    """The error boundary: IngestError and PolicyError exit 1 with a message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ingest.IngestError as exc:
+            _report(exc.diagnostics)
+        except PolicyError as exc:
+            click.echo(str(exc), err=True)
+        raise SystemExit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Economic-policy taxonomy engine and trait analytics."""
 
@@ -57,11 +77,7 @@ def main():
 @click.argument("file", type=click.Path(exists=True))
 def validate(file):
     """Validate a taxonomy-definition file."""
-    model, diags = ingest.load_model_from_path(file)
-    for d in diags:
-        click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
-    if model is None or any(d.is_error() for d in diags):
-        raise SystemExit(1)
+    model = _load_input(file)
     click.echo(
         f"OK: {len(model.traits)} traits, {len(model.categories)} categories, "
         f"{len(model.tables)} tables"
@@ -105,14 +121,9 @@ def policies():
 @click.option("--expand-subtraits", is_flag=True)
 def policies_list(input_path, table, tag, trait, group, expand_subtraits):
     """List schemas, one category/trait[/subtrait] per line."""
-    model = _load_input(input_path)
-    try:
-        schemas = enumeration.enumerate_schemas(
-            model, _make_filter(table, tag, trait, group), expand_subtraits
-        )
-    except PolicyError as exc:
-        click.echo(str(exc), err=True)
-        raise SystemExit(1)
+    schemas = enumeration.enumerate_schemas(
+        _load_input(input_path), _make_filter(table, tag, trait, group), expand_subtraits
+    )
     click.echo(export.export_schema_list(schemas).text, nl=False)
 
 
@@ -127,18 +138,14 @@ def policies_list(input_path, table, tag, trait, group, expand_subtraits):
 def policies_count(input_path, table, tag, trait, group, expand_subtraits, by):
     """Count schemas under a filter, or grouped counts with --by."""
     model = _load_input(input_path)
-    try:
-        if by is not None:
-            counts = enumeration.count_checkmarks(model, by)
-            for name in sorted(counts):
-                click.echo(f"{name}: {counts[name]}")
-            return
-        schemas = enumeration.enumerate_schemas(
-            model, _make_filter(table, tag, trait, group), expand_subtraits
-        )
-    except PolicyError as exc:
-        click.echo(str(exc), err=True)
-        raise SystemExit(1)
+    if by is not None:
+        counts = enumeration.count_checkmarks(model, by)
+        for name in sorted(counts):
+            click.echo(f"{name}: {counts[name]}")
+        return
+    schemas = enumeration.enumerate_schemas(
+        model, _make_filter(table, tag, trait, group), expand_subtraits
+    )
     click.echo(str(len(schemas)))
 
 
@@ -148,8 +155,7 @@ def policies_count(input_path, table, tag, trait, group, expand_subtraits, by):
 @out_option
 def matrix(input_path, null_mode, out):
     """Export the boolean trait matrix as CSV."""
-    model = _load_input(input_path)
-    tm = analytics.build_trait_matrix(model, null_mode)
+    tm = _trait_matrix(input_path, null_mode)
     _write_out(export.export_matrix_csv(tm).text, out)
 
 
@@ -159,8 +165,7 @@ def matrix(input_path, null_mode, out):
 @out_option
 def corr(input_path, null_mode, out):
     """Export the Pearson correlation matrix as CSV."""
-    model = _load_input(input_path)
-    tm = analytics.build_trait_matrix(model, null_mode)
+    tm = _trait_matrix(input_path, null_mode)
     _write_out(export.export_matrix_csv(analytics.pearson_correlation(tm)).text, out)
 
 
@@ -170,8 +175,7 @@ def corr(input_path, null_mode, out):
 @out_option
 def dist(input_path, null_mode, out):
     """Export the Euclidean distance matrix as CSV."""
-    model = _load_input(input_path)
-    tm = analytics.build_trait_matrix(model, null_mode)
+    tm = _trait_matrix(input_path, null_mode)
     _write_out(export.export_matrix_csv(analytics.euclidean_distance(tm)).text, out)
 
 
@@ -182,8 +186,7 @@ def dist(input_path, null_mode, out):
 @out_option
 def mst(input_path, null_mode, fmt, out):
     """Export the minimum-spanning tree (DOT) or pruned distances (CSV)."""
-    model = _load_input(input_path)
-    tm = analytics.build_trait_matrix(model, null_mode)
+    tm = _trait_matrix(input_path, null_mode)
     result = analytics.kruskal_mst(analytics.euclidean_distance(tm))
     if fmt == "dot":
         artifact = export.export_mst_dot(result)
@@ -198,19 +201,10 @@ def mst(input_path, null_mode, fmt, out):
 @out_option
 def merge(base, ext, out):
     """Merge an extension document into a base taxonomy file."""
-    base_model, diags = ingest.load_model_from_path(base)
-    if base_model is None or any(d.is_error() for d in diags):
-        for d in diags:
-            click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
-        raise SystemExit(1)
-    with open(ext, encoding="utf-8") as f:
-        extension = json.load(f)
-    try:
-        merged = ingest.merge_extension(base_model, extension)
-    except ingest.IngestError as exc:
-        for d in exc.diagnostics:
-            click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
-        raise SystemExit(1)
+    base_model = _load_input(base)
+    with open(ext, "rb") as f:
+        extension = ingest.decode_document(f.read())
+    merged = ingest.merge_extension(base_model, extension)
     _write_out(ingest.serialize_taxonomy_document(merged), out)
 
 
@@ -219,12 +213,7 @@ def merge(base, ext, out):
 @click.argument("name")
 def show(input_path, name):
     """Look up a category or tree node by id or name."""
-    model = _load_input(input_path)
-    try:
-        found = enumeration.lookup(model, name)
-    except PolicyError as exc:
-        click.echo(str(exc), err=True)
-        raise SystemExit(1)
+    found = enumeration.lookup(_load_input(input_path), name)
     if hasattr(found, "implementable_trait_ids"):
         click.echo(f"category {found.id}: {found.name}")
         click.echo("group path: " + " > ".join(found.group_path))

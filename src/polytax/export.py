@@ -1,17 +1,20 @@
 """Exporters: DOT for trees and MSTs, CSV for matrices, markdown tables.
 
 All exporters are pure functions of (model, options) and emit byte-stable
-UTF-8 payloads, so repeated exports diff clean.
+UTF-8 payloads, so repeated exports diff clean. Matrix cells are written
+as the shortest repr of their float64 value; since analytics computes
+them from exact integer counts, the CSV bytes do not depend on the BLAS.
+Undefined cells (NaN: correlations of constant rows, non-tree cells of
+the MST-pruned distances) become empty fields.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import Iterable, Union
 
 from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
 from .enumeration import iter_tree
@@ -39,20 +42,29 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_tree_dot(model: TaxonomyModel) -> ExportArtifact:
-    """DOT digraph of the taxonomy: boxed groups, plain category leaves."""
-    lines = ["digraph taxonomy {", "  rankdir=LR;"]
-    slugs: dict[str, str] = {}
+def _slugs(labels: Iterable[str]) -> list[str]:
+    """One DOT identifier per label, made unique by appending underscores."""
     used: set[str] = set()
-    for node, _ in iter_tree(model):
-        slug = slugify(node.label)
+    out = []
+    for label in labels:
+        slug = slugify(label)
         while slug in used:
             slug += "_"
         used.add(slug)
-        slugs[node.id] = slug
+        out.append(slug)
+    return out
+
+
+def export_tree_dot(model: TaxonomyModel) -> ExportArtifact:
+    """DOT digraph of the taxonomy: boxed groups, plain category leaves."""
+    nodes = [node for node, _ in iter_tree(model)]
+    node_slugs = _slugs(node.label for node in nodes)
+    slugs = dict(zip((node.id for node in nodes), node_slugs))
+    lines = ["digraph taxonomy {", "  rankdir=LR;"]
+    for node, slug in zip(nodes, node_slugs):
         shape = "box" if node.kind == "group" else "plaintext"
         lines.append(f"  {slug} [label={_quote(node.label)}, shape={shape}];")
-    for node, _ in iter_tree(model):
+    for node in nodes:
         for child_id in node.children:
             lines.append(f"  {slugs[node.id]} -> {slugs[child_id]};")
     lines.append("}")
@@ -70,15 +82,9 @@ def export_tree_text(model: TaxonomyModel) -> ExportArtifact:
 
 def export_mst_dot(mst: MstResult) -> ExportArtifact:
     """Undirected DOT graph; edge labels carry weights to 6 decimals."""
+    slugs = _slugs(mst.labels)
     lines = ["graph mst {", "  layout=neato;"]
-    slugs = []
-    used: set[str] = set()
-    for label in mst.labels:
-        slug = slugify(label)
-        while slug in used:
-            slug += "_"
-        used.add(slug)
-        slugs.append(slug)
+    for label, slug in zip(mst.labels, slugs):
         lines.append(f"  {slug} [label={_quote(label)}];")
     for i, j, weight in mst.edges:
         lines.append(f"  {slugs[i]} -- {slugs[j]} [label={_quote(f'{weight:.6f}')}];")
@@ -86,51 +92,34 @@ def export_mst_dot(mst: MstResult) -> ExportArtifact:
     return ExportArtifact("dot-mst", "\n".join(lines) + "\n")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
+def _format_cell(value: Union[bool, float]) -> str:
+    if isinstance(value, bool):
         return "1" if value else "0"
-    return repr(float(value))
+    return "" if math.isnan(value) else repr(value)
 
 
 def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
     """RFC-4180-style CSV: header row of column labels, label column first.
 
-    Booleans become 0/1 and undefined correlations become empty fields.
+    Booleans become 0/1 and undefined (NaN) cells become empty fields.
     """
     if isinstance(matrix, TraitMatrix):
-        kind = "csv-matrix"
-        cols = matrix.col_labels
-        rows = matrix.row_labels
-        cells = matrix.cells
-    elif isinstance(matrix, CorrelationMatrix):
-        kind = "csv-correlation"
-        cols = matrix.labels
-        rows = matrix.labels
-        cells = matrix.cells
+        kind, rows, cols = "csv-matrix", matrix.row_labels, matrix.col_labels
     else:
-        kind = "csv-distance"
-        cols = matrix.labels
-        rows = matrix.labels
-        cells = matrix.cells
+        kind = "csv-correlation" if isinstance(matrix, CorrelationMatrix) else "csv-distance"
+        rows = cols = matrix.labels
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(cols))
-    for label, row in zip(rows, cells):
-        writer.writerow([label] + [_format_cell(v) for v in row])
+    writer.writerow(["", *cols])
+    for label, row in zip(rows, matrix.cells):
+        writer.writerow([label, *map(_format_cell, row.tolist())])
     return ExportArtifact(kind, buf.getvalue())
 
 
 def export_pruned_csv(mst: MstResult) -> ExportArtifact:
     """The MST-pruned distance matrix as CSV; non-tree cells are empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(mst.labels))
-    for label, row in zip(mst.labels, mst.pruned):
-        writer.writerow([label] + [_format_cell(v) for v in row])
-    return ExportArtifact("csv-distance", buf.getvalue())
+    return export_matrix_csv(mst.pruned)
 
 
 def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifact:

@@ -24,6 +24,7 @@ from .model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
+    materialize_trait_sets,
     validate_model,
 )
 
@@ -223,48 +224,17 @@ def _parse_tree(raw, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
     return tuple(nodes), root_id
 
 
-def _materialize_trait_sets(
-    categories: tuple[PolicyCategory, ...],
-    tables: tuple[CheckTable, ...],
-    diags: list[Diagnostic],
-) -> tuple[PolicyCategory, ...]:
-    """Fill each category's implementable set from its table rows.
-
-    A document may carry an inline set; disagreement with the tables is an
-    error, never a silent union.
-    """
-    marks: dict[str, set[str]] = {}
-    for table in tables:
-        for row in table.rows:
-            marks.setdefault(row.category_id, set()).update(row.marks)
-    out = []
-    for category in categories:
-        from_tables = frozenset(marks.get(category.id, set()))
-        if category.implementable_trait_ids and (
-            category.implementable_trait_ids != from_tables
-        ):
-            diags.append(
-                Diagnostic(
-                    "E_TABLE_MISMATCH",
-                    "error",
-                    "inline implementable_trait_ids disagree with table rows "
-                    f"for {category.id!r}",
-                    f"/categories/{category.id}",
-                )
-            )
-        out.append(
-            PolicyCategory(
-                id=category.id,
-                name=category.name,
-                description=category.description,
-                own_parameters=category.own_parameters,
-                group_path=category.group_path,
-                cross_tags=category.cross_tags,
-                implementable_trait_ids=from_tables,
-                channel_ref=category.channel_ref,
-            )
-        )
-    return tuple(out)
+def decode_document(data: str | bytes) -> Any:
+    """Decode UTF-8 JSON text; undecodable input raises IngestError (E_SYNTAX)."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise IngestError([Diagnostic("E_SYNTAX", "error", str(exc), "/")]) from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(
+            [Diagnostic("E_SYNTAX", "error", str(exc), f"/line/{exc.lineno}")]
+        ) from None
 
 
 def parse_taxonomy_document(
@@ -276,17 +246,10 @@ def parse_taxonomy_document(
     unreadable; otherwise a (possibly invalid) model is returned together
     with all parse and validation diagnostics.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return None, [Diagnostic("E_SYNTAX", "error", str(exc), "/")]
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, [
-            Diagnostic("E_SYNTAX", "error", str(exc), f"/line/{exc.lineno}")
-        ]
+        doc = decode_document(text)
+    except IngestError as exc:
+        return None, exc.diagnostics
     return parse_document_dict(doc)
 
 
@@ -324,11 +287,24 @@ def parse_document_dict(
     categories = _parse_categories(doc.get("categories", []), diags)
     tables = _parse_tables(doc.get("tables", []), diags)
     nodes, root_id = _parse_tree(doc.get("tree"), diags)
-    categories = _materialize_trait_sets(categories, tables, diags)
+    materialized = materialize_trait_sets(categories, tables)
+    # An inline implementable set that disagrees with the tables is an
+    # error, never a silent union.
+    for inline, category in zip(categories, materialized):
+        if inline.implementable_trait_ids and inline is not category:
+            diags.append(
+                Diagnostic(
+                    "E_TABLE_MISMATCH",
+                    "error",
+                    "inline implementable_trait_ids disagree with table rows "
+                    f"for {category.id!r}",
+                    f"/categories/{category.id}",
+                )
+            )
 
     model = TaxonomyModel(
         traits=traits,
-        categories=categories,
+        categories=materialized,
         nodes=nodes,
         root_id=root_id,
         channels=channels,
@@ -437,6 +413,8 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     with E_CONFLICT; identical redefinitions are no-ops. The merged model
     is re-validated and must be clean.
     """
+    if not isinstance(extension, dict):
+        raise IngestError([_schema_error("extension must be a JSON object", "/")])
     extension = copy.deepcopy(extension)
     conflicts: list[Diagnostic] = []
     diags: list[Diagnostic] = []
@@ -500,28 +478,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             rows=tuple(rows),
         )
 
-    # Re-materialize implementable sets from the merged tables.
-    marks: dict[str, set[str]] = {}
-    for table in tables:
-        for row in table.rows:
-            marks.setdefault(row.category_id, set()).update(row.marks)
-    categories = tuple(
-        PolicyCategory(
-            id=c.id,
-            name=c.name,
-            description=c.description,
-            own_parameters=c.own_parameters,
-            group_path=c.group_path,
-            cross_tags=c.cross_tags,
-            implementable_trait_ids=frozenset(marks.get(c.id, set())),
-            channel_ref=c.channel_ref,
-        )
-        for c in categories
-    )
-
     merged = TaxonomyModel(
         traits=traits,
-        categories=categories,
+        categories=materialize_trait_sets(categories, tables),
         nodes=base.nodes,
         root_id=base.root_id,
         channels=channels,
@@ -569,6 +528,7 @@ __all__ = [
     "DATA_ENV_VAR",
     "DIAGNOSTIC_CODES",
     "IngestError",
+    "decode_document",
     "parse_taxonomy_document",
     "parse_document_dict",
     "model_to_document",

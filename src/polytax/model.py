@@ -200,6 +200,33 @@ def models_equivalent(a: TaxonomyModel, b: TaxonomyModel) -> bool:
     return key(a) == key(b)
 
 
+def table_marks(tables: Iterable[CheckTable]) -> dict[str, set[str]]:
+    """Each category's checkmarked trait ids, over the rows of all tables."""
+    marks: dict[str, set[str]] = {}
+    for table in tables:
+        for row in table.rows:
+            marks.setdefault(row.category_id, set()).update(row.marks)
+    return marks
+
+
+def materialize_trait_sets(
+    categories: Iterable[PolicyCategory], tables: Iterable[CheckTable]
+) -> tuple[PolicyCategory, ...]:
+    """The categories with implementable_trait_ids set from the table rows.
+
+    Tables are the source of truth; a category whose set already agrees is
+    returned as the same object.
+    """
+    marks = table_marks(tables)
+    out = []
+    for category in categories:
+        from_tables = marks.get(category.id, set())
+        if category.implementable_trait_ids != from_tables:
+            category = replace(category, implementable_trait_ids=frozenset(from_tables))
+        out.append(category)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -353,7 +380,6 @@ def _validate_tree(model: TaxonomyModel, out: list[Diagnostic]) -> None:
 
 def _validate_tables(model: TaxonomyModel, out: list[Diagnostic]) -> None:
     seen_names = set()
-    marks_by_category: dict[str, set[str]] = {}
     for table in model.tables:
         path = f"/tables/{table.name}"
         if table.name in seen_names:
@@ -392,14 +418,13 @@ def _validate_tables(model: TaxonomyModel, out: list[Diagnostic]) -> None:
                             row_path,
                         )
                     )
-            marks_by_category.setdefault(row.category_id, set()).update(row.marks)
 
     # Tables are the source of truth for implementable traits; a category
     # whose inline set disagrees with its table rows is an error.
     if model.tables:
+        marks = table_marks(model.tables)
         for category in model.categories:
-            expected = frozenset(marks_by_category.get(category.id, set()))
-            if category.implementable_trait_ids != expected:
+            if category.implementable_trait_ids != marks.get(category.id, set()):
                 out.append(
                     Diagnostic(
                         "E_TABLE_MISMATCH",
@@ -619,8 +644,9 @@ __all__ = [
     "AtomicPolicy",
     "TaxonomyModel",
     "models_equivalent",
+    "table_marks",
+    "materialize_trait_sets",
     "validate_model",
     "required_parameters",
     "instantiate_atomic_policy",
-    "replace",
 ]

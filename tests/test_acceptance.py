@@ -82,7 +82,7 @@ def test_criterion_3_correlation_semantics(model):
             for j in range(n):
                 a, b = corr.cells[i][j], corr.cells[j][i]
                 if i in constant or j in constant:
-                    assert a is None and b is None
+                    assert np.isnan(a) and np.isnan(b)
                 else:
                     assert abs(a - b) <= TOL
                     if i == j:

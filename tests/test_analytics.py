@@ -149,8 +149,8 @@ def test_constant_row_pairs_are_undefined(model):
     tm = build_trait_matrix(model)
     corr = pearson_correlation(tm)
     k = corr.labels.index("tax-amnesty")
-    assert all(corr.cells[k][j] is None for j in range(len(corr.labels)))
-    assert all(corr.cells[j][k] is None for j in range(len(corr.labels)))
+    assert all(np.isnan(corr.cells[k][j]) for j in range(len(corr.labels)))
+    assert all(np.isnan(corr.cells[j][k]) for j in range(len(corr.labels)))
 
 
 def test_correlation_symmetry_and_diagonal(model):
@@ -162,16 +162,63 @@ def test_correlation_symmetry_and_diagonal(model):
     n = len(corr.labels)
     for i in range(n):
         if i in constant:
-            assert corr.cells[i][i] is None
+            assert np.isnan(corr.cells[i][i])
         else:
             assert corr.cells[i][i] == pytest.approx(1.0, abs=1e-9)
         for j in range(n):
             a, b = corr.cells[i][j], corr.cells[j][i]
             if i in constant or j in constant:
-                assert a is None and b is None
+                assert np.isnan(a) and np.isnan(b)
             else:
                 assert a == pytest.approx(b, abs=1e-9)
                 assert -1.0 - 1e-9 <= a <= 1.0 + 1e-9
+
+
+def integer_pearson(rows):
+    """Pearson r from Python-integer counts: one rounding per float operation."""
+    k = len(rows[0])
+    out = np.empty((len(rows), len(rows)))
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            a, b = sum(x), sum(y)
+            n11 = sum(p * q for p, q in zip(x, y))
+            den = a * (k - a) * b * (k - b)
+            out[i, j] = (k * n11 - a * b) / math.sqrt(den) if den else math.nan
+    return out
+
+
+def integer_hamming_sqrt(rows):
+    return np.array(
+        [[math.sqrt(sum(p != q for p, q in zip(x, y))) for y in rows] for x in rows]
+    )
+
+
+def small_matrices_with_constant_rows():
+    rng = random.Random(20261017)
+    for width in (1, 2, 3, 7, 23, 64):
+        for _ in range(5):
+            tm = random_binary_matrix(rng, rng.randint(2, 9), width)
+            cells = tm.cells.copy()
+            cells[0] = False
+            cells[-1] = True
+            yield TraitMatrix(tm.row_labels, tm.col_labels, cells)
+
+
+def assert_exact_analytics(tm):
+    rows = tm.cells.astype(int).tolist()
+    corr = pearson_correlation(tm)
+    assert np.array_equal(corr.cells, integer_pearson(rows), equal_nan=True)
+    assert np.array_equal(euclidean_distance(tm).cells, integer_hamming_sqrt(rows))
+
+
+@pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])
+def test_analytics_equal_integer_reference_on_bundled_dataset(model, null_mode):
+    assert_exact_analytics(build_trait_matrix(model, null_mode))
+
+
+def test_analytics_equal_integer_reference_on_small_matrices():
+    for tm in small_matrices_with_constant_rows():
+        assert_exact_analytics(tm)
 
 
 def test_complement_rows_anticorrelate():
@@ -312,7 +359,7 @@ def test_mst_on_bundled_dataset(model, null_mode):
     # adjacency and pruned grid agree with the edge list
     for i, j, w in mst.edges:
         assert mst.adjacency[i, j] == mst.adjacency[j, i] == 1
-        assert mst.pruned[i][j] == pytest.approx(w, abs=1e-9)
+        assert mst.pruned.cells[i, j] == pytest.approx(w, abs=1e-9)
     assert int(mst.adjacency.sum()) == 2 * len(mst.edges)
     assert (np.diag(mst.adjacency) == 0).all()
     non_edges = n * n - n - 2 * len(mst.edges)
@@ -320,6 +367,6 @@ def test_mst_on_bundled_dataset(model, null_mode):
         1
         for i in range(n)
         for j in range(n)
-        if i != j and mst.pruned[i][j] is None
+        if i != j and np.isnan(mst.pruned.cells[i, j])
     )
     assert missing == non_edges

@@ -165,3 +165,50 @@ def test_run_cli_exit_codes(capsys):
     assert run_cli(["show", "Window Tax"]) == 1
     assert run_cli(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+ONE_CATEGORY = {
+    "schema_version": "1",
+    "traits": [{"id": "t", "name": "T"}],
+    "categories": [{"id": "c", "name": "C", "group_path": ["Economic Policy"]}],
+    "tables": [{"name": "main", "trait_columns": ["t"], "rows": [{"category": "c", "marks": ["t"]}]}],
+}
+
+# "@name" stands for a file written by the test; env values may use it too.
+BAD_INPUTS = {
+    "merge-not-json": (["merge", "@dataset", "@not-json"], {}, "E_SYNTAX"),
+    "merge-json-list": (["merge", "@dataset", "@json-list"], {}, "E_SCHEMA"),
+    "corr-one-row": (["corr", "--input", "@one-category"], {}, "E_BAD_FILTER"),
+    "dist-one-row": (["dist", "--input", "@one-category"], {}, "E_BAD_FILTER"),
+    "mst-exclude-one-row": (
+        ["mst", "--null-mode", "exclude", "--input", "@one-category"], {}, "E_BAD_FILTER"
+    ),
+    "tree-without-tree": (["tree", "--input", "@one-category"], {}, "E_NOT_FOUND"),
+    "count-bad-data": (["policies", "count"], {ingest.DATA_ENV_VAR: "@not-json"}, "E_SYNTAX"),
+    "matrix-bad-data": (["matrix"], {ingest.DATA_ENV_VAR: "@not-json"}, "E_SYNTAX"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, case):
+    files = {"@dataset": dataset_file}
+    for name, text in (
+        ("not-json", "{not json"),
+        ("json-list", "[1, 2]"),
+        ("one-category", json.dumps(ONE_CATEGORY)),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        files[f"@{name}"] = str(path)
+    argv, env, code = BAD_INPUTS[case]
+    result = runner.invoke(
+        main,
+        [files.get(a, a) for a in argv],
+        env={k: files.get(v, v) for k, v in env.items()},
+    )
+    assert result.exit_code == 1
+    # Any other exception escaping main is printed as a traceback by
+    # `python -m polytax.cli`.
+    assert type(result.exception) is SystemExit
+    assert code in result.stderr
+    assert "Traceback" not in result.stderr

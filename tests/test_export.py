@@ -35,9 +35,7 @@ def import_matrix_csv(text, kind):
         cells = np.array([[c == "1" for c in row] for row in body], dtype=bool)
         return TraitMatrix(labels, cols, cells)
     if kind == "corr":
-        cells = tuple(
-            tuple(None if c == "" else float(c) for c in row) for row in body
-        )
+        cells = np.array([[np.nan if c == "" else float(c) for c in row] for row in body])
         return CorrelationMatrix(labels, cells)
     cells = np.array([[float(c) for c in row] for row in body])
     return DistanceMatrix(labels, cells)
@@ -101,7 +99,7 @@ def test_small_boolean_matrix_csv_shape():
 
 
 def test_undefined_correlation_is_empty_field():
-    corr = CorrelationMatrix(("a", "b"), ((1.0, None), (None, None)))
+    corr = CorrelationMatrix(("a", "b"), np.array([[1.0, np.nan], [np.nan, np.nan]]))
     text = export_matrix_csv(corr).text
     assert text.splitlines()[1] == "a,1.0,"
     assert text.splitlines()[2] == "b,,"
@@ -126,7 +124,8 @@ def test_trait_matrix_csv_roundtrip(model):
 def test_correlation_csv_roundtrip(model):
     corr = pearson_correlation(build_trait_matrix(model))
     again = import_matrix_csv(export_matrix_csv(corr).text, "corr")
-    assert again == corr
+    assert again.labels == corr.labels
+    assert np.array_equal(again.cells, corr.cells, equal_nan=True)
 
 
 def test_distance_csv_roundtrip(model):
