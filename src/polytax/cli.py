@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors.
 Every IngestError and PolicyError ends the command with its diagnostics
-on stderr and exit code 1, never with a traceback. The bundled dataset
-is the default input; POLYTAX_DATA or --input override it.
+on stderr and exit code 1, never with a traceback; a file that cannot be
+read or decoded is an E_SYNTAX error. The bundled dataset is the default
+input; POLYTAX_DATA or --input override it.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 input_option = click.option(
-    "--input", "input_path", default=None, type=click.Path(exists=True),
+    "--input", "input_path", default=None, type=click.Path(exists=True, dir_okay=False),
     help="Taxonomy file (defaults to the bundled dataset).",
 )
 null_mode_option = click.option(
@@ -74,7 +75,7 @@ def main():
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def validate(file):
     """Validate a taxonomy-definition file."""
     model = _load_input(file)
@@ -196,15 +197,12 @@ def mst(input_path, null_mode, fmt, out):
 
 
 @main.command()
-@click.argument("base", type=click.Path(exists=True))
-@click.argument("ext", type=click.Path(exists=True))
+@click.argument("base", type=click.Path(exists=True, dir_okay=False))
+@click.argument("ext", type=click.Path(exists=True, dir_okay=False))
 @out_option
 def merge(base, ext, out):
     """Merge an extension document into a base taxonomy file."""
-    base_model = _load_input(base)
-    with open(ext, "rb") as f:
-        extension = ingest.decode_document(f.read())
-    merged = ingest.merge_extension(base_model, extension)
+    merged = ingest.merge_extension(_load_input(base), ingest.read_document(ext))
     _write_out(ingest.serialize_taxonomy_document(merged), out)
 
 

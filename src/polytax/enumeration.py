@@ -118,13 +118,17 @@ def build_tree(model: TaxonomyModel) -> TaxonomyNode:
 
 
 def iter_tree(model: TaxonomyModel, node: Optional[TaxonomyNode] = None, depth: int = 0):
-    """Depth-first (node, depth) traversal in child order."""
-    node = node or build_tree(model)
-    yield node, depth
-    for child_id in node.children:
-        child = model.node(child_id)
-        if child is not None:
-            yield from iter_tree(model, child, depth + 1)
+    """Depth-first (node, depth) traversal in child order, with an explicit
+    stack; each node id is visited once, so a cyclic model cannot loop."""
+    seen = set()
+    stack = [(node or build_tree(model), depth)]
+    while stack:
+        node, depth = stack.pop()
+        if node.id not in seen:
+            seen.add(node.id)
+            yield node, depth
+            children = (model.node(c) for c in reversed(node.children))
+            stack.extend((child, depth + 1) for child in children if child is not None)
 
 
 def tree_leaf_category_ids(model: TaxonomyModel) -> list[str]:

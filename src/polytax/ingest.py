@@ -1,16 +1,24 @@
 """Parse, serialize, and merge taxonomy-definition documents.
 
-The file format is UTF-8 JSON with sections meta, traits, channels,
-categories, tables and tree (schema_version "1"). Tables are the source
-of truth for which traits a category can implement; the loader
-materializes each category's implementable set from its table rows.
+A document is a UTF-8 JSON object: schema_version "1", meta (an object),
+the lists traits, channels, categories and tables, and tree (one node
+object). Each id, name, kind, label, title, description, authority,
+channel_ref, category_ref and row category is a string; parameters,
+own_parameters, subtraits, rows and children are lists of objects;
+group_path, cross_tags, statement_path, trait_columns, marks and
+implementable_trait_ids are lists of strings. Parsing is total: a value
+of another kind is dropped with an E_SCHEMA at its JSON path (null counts
+as missing), and a file that cannot be read, decoded or nested as deeply
+gives E_SYNTAX. Tables are the source of truth for which traits a
+category can implement; each category's set is built from its table rows.
 """
 from __future__ import annotations
 
-import copy
 import json
 import os
+from dataclasses import replace
 from importlib import resources
+from itertools import repeat
 from typing import Any, Optional
 
 from .model import (
@@ -25,6 +33,7 @@ from .model import (
     TraitDef,
     TransactionChannel,
     materialize_trait_sets,
+    table_marks,
     validate_model,
 )
 
@@ -70,171 +79,181 @@ class IngestError(Exception):
 # Parsing
 # ---------------------------------------------------------------------------
 
+# The JSON kinds a document value can have; "strings" is a list of strings.
+_KINDS = {"string": str, "list": list, "object": dict, "strings": list}
+
+
 def _schema_error(message: str, path: str) -> Diagnostic:
     return Diagnostic("E_SCHEMA", "error", message, path)
 
 
-def _parse_parameters(raw, path, diags) -> tuple[ParameterSpec, ...]:
-    if not isinstance(raw, list):
-        diags.append(_schema_error("parameters must be a list", path))
-        return ()
-    out = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "name" not in item or "kind" not in item:
-            diags.append(_schema_error("parameter needs name and kind", f"{path}/{i}"))
-            continue
-        out.append(ParameterSpec(name=str(item["name"]), kind=str(item["kind"])))
-    return tuple(out)
+def _field(obj: dict, key: str, kind: str, path: str, diags, default=None) -> Any:
+    """obj[key] if it has the JSON kind; a missing key or null gives default,
+    a value of another kind gives default and an E_SCHEMA at path/key."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if isinstance(value, _KINDS[kind]) and (
+        kind != "strings" or all(map(isinstance, value, repeat(str)))
+    ):
+        return value
+    diags.append(_schema_error(f"{key} is not of kind {kind!r}", f"{path}/{key}"))
+    return default
 
 
-def _parse_traits(raw, diags) -> tuple[TraitDef, ...]:
-    out = []
-    for i, item in enumerate(raw):
-        path = f"/traits/{i}"
-        if not isinstance(item, dict) or "id" not in item:
-            diags.append(_schema_error("trait needs an id", path))
-            continue
-        subtraits = []
-        for j, sub in enumerate(item.get("subtraits", [])):
-            if not isinstance(sub, dict) or "id" not in sub:
-                diags.append(_schema_error("subtrait needs an id", f"{path}/subtraits/{j}"))
-                continue
-            subtraits.append(
+def _records(obj: dict, key: str, required: tuple[str, ...], path: str, diags):
+    """(item, item_path) for each object in the list obj[key] whose required
+    keys hold strings; every other item gets one E_SCHEMA."""
+    for i, item in enumerate(_field(obj, key, "list", path, diags, [])):
+        item_path = f"{path}/{key}/{i}"
+        if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in required):
+            yield item, item_path
+        else:
+            message = "expected an object with string " + " and ".join(required)
+            diags.append(_schema_error(message, item_path))
+
+
+def _parse_parameters(obj, key, path, diags) -> tuple[ParameterSpec, ...]:
+    return tuple(
+        ParameterSpec(name=item["name"], kind=item["kind"])
+        for item, _ in _records(obj, key, ("name", "kind"), path, diags)
+    )
+
+
+def _parse_traits(doc, diags) -> tuple[TraitDef, ...]:
+    return tuple(
+        TraitDef(
+            id=item["id"],
+            name=_field(item, "name", "string", path, diags, item["id"]),
+            parameters=_parse_parameters(item, "parameters", path, diags),
+            subtraits=tuple(
                 SubtraitDef(
-                    id=str(sub["id"]),
-                    name=str(sub.get("name", sub["id"])),
-                    parameters=_parse_parameters(
-                        sub.get("parameters", []), f"{path}/subtraits/{j}", diags
-                    ),
-                    description=str(sub.get("description", "")),
+                    id=sub["id"],
+                    name=_field(sub, "name", "string", sub_path, diags, sub["id"]),
+                    parameters=_parse_parameters(sub, "parameters", sub_path, diags),
+                    description=_field(sub, "description", "string", sub_path, diags, ""),
                 )
-            )
-        out.append(
-            TraitDef(
-                id=str(item["id"]),
-                name=str(item.get("name", item["id"])),
-                parameters=_parse_parameters(item.get("parameters", []), path, diags),
-                subtraits=tuple(subtraits),
-                description=str(item.get("description", "")),
-            )
+                for sub, sub_path in _records(item, "subtraits", ("id",), path, diags)
+            ),
+            description=_field(item, "description", "string", path, diags, ""),
         )
-    return tuple(out)
+        for item, path in _records(doc, "traits", ("id",), "", diags)
+    )
 
 
-def _parse_channels(raw, diags) -> tuple[TransactionChannel, ...]:
-    out = []
-    for i, item in enumerate(raw):
-        path = f"/channels/{i}"
-        if not isinstance(item, dict) or "id" not in item:
-            diags.append(_schema_error("channel needs an id", path))
-            continue
-        out.append(
-            TransactionChannel(
-                id=str(item["id"]),
-                authority=str(item.get("authority", "")),
-                statement_path=tuple(item.get("statement_path", [])),
-                name=str(item.get("name", item["id"])),
-                description=str(item.get("description", "")),
-            )
+def _parse_channels(doc, diags) -> tuple[TransactionChannel, ...]:
+    return tuple(
+        TransactionChannel(
+            id=item["id"],
+            authority=_field(item, "authority", "string", path, diags, ""),
+            statement_path=tuple(_field(item, "statement_path", "strings", path, diags, [])),
+            name=_field(item, "name", "string", path, diags, item["id"]),
+            description=_field(item, "description", "string", path, diags, ""),
         )
-    return tuple(out)
+        for item, path in _records(doc, "channels", ("id",), "", diags)
+    )
 
 
-def _parse_categories(raw, diags) -> tuple[PolicyCategory, ...]:
+def _parse_categories(doc, marks, diags) -> tuple[PolicyCategory, ...]:
+    """Categories whose implementable sets come from the table marks; an
+    inline set that disagrees with them is an error, never a silent union."""
     out = []
-    for i, item in enumerate(raw):
-        path = f"/categories/{i}"
-        if not isinstance(item, dict) or "id" not in item:
-            diags.append(_schema_error("category needs an id", path))
-            continue
+    for item, path in _records(doc, "categories", ("id",), "", diags):
+        category_id = item["id"]
+        implementable = frozenset(marks.get(category_id, ()))
+        inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
+        if inline and frozenset(inline) != implementable:
+            message = f"inline implementable_trait_ids disagree with table rows for {category_id!r}"
+            diags.append(
+                Diagnostic("E_TABLE_MISMATCH", "error", message, f"/categories/{category_id}")
+            )
         out.append(
             PolicyCategory(
-                id=str(item["id"]),
-                name=str(item.get("name", item["id"])),
-                description=str(item.get("description", "")),
-                own_parameters=_parse_parameters(
-                    item.get("own_parameters", []), path, diags
-                ),
-                group_path=tuple(item.get("group_path", [])),
-                cross_tags=frozenset(item.get("cross_tags", [])),
-                implementable_trait_ids=frozenset(
-                    item.get("implementable_trait_ids", [])
-                ),
-                channel_ref=item.get("channel_ref"),
+                id=category_id,
+                name=_field(item, "name", "string", path, diags, category_id),
+                description=_field(item, "description", "string", path, diags, ""),
+                own_parameters=_parse_parameters(item, "own_parameters", path, diags),
+                group_path=tuple(_field(item, "group_path", "strings", path, diags, [])),
+                cross_tags=frozenset(_field(item, "cross_tags", "strings", path, diags, [])),
+                implementable_trait_ids=implementable,
+                channel_ref=_field(item, "channel_ref", "string", path, diags),
             )
         )
     return tuple(out)
 
 
-def _parse_tables(raw, diags) -> tuple[CheckTable, ...]:
-    out = []
-    for i, item in enumerate(raw):
-        path = f"/tables/{i}"
-        if not isinstance(item, dict) or "name" not in item:
-            diags.append(_schema_error("table needs a name", path))
-            continue
-        rows = []
-        for j, row in enumerate(item.get("rows", [])):
-            if not isinstance(row, dict) or "category" not in row:
-                diags.append(_schema_error("row needs a category", f"{path}/rows/{j}"))
-                continue
-            rows.append(
+def _parse_tables(doc, diags) -> tuple[CheckTable, ...]:
+    return tuple(
+        CheckTable(
+            name=item["name"],
+            title=_field(item, "title", "string", path, diags, item["name"]),
+            trait_columns=tuple(_field(item, "trait_columns", "strings", path, diags, [])),
+            rows=tuple(
                 TableRow(
-                    category_id=str(row["category"]),
-                    marks=tuple(row.get("marks", [])),
+                    category_id=row["category"],
+                    marks=tuple(_field(row, "marks", "strings", row_path, diags, [])),
                 )
-            )
-        out.append(
-            CheckTable(
-                name=str(item["name"]),
-                title=str(item.get("title", item["name"])),
-                trait_columns=tuple(item.get("trait_columns", [])),
-                rows=tuple(rows),
-            )
+                for row, row_path in _records(item, "rows", ("category",), path, diags)
+            ),
         )
-    return tuple(out)
+        for item, path in _records(doc, "tables", ("name",), "", diags)
+    )
 
 
-def _parse_tree(raw, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
-    if raw is None:
+def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
+    """The tree's nodes in post-order. The walk uses an explicit stack, so
+    depth is not bounded by the recursion limit; it visits children last to
+    first, and reversing that pre-order gives the post-order."""
+    root = _field(doc, "tree", "object", "", diags)
+    if root is None:
+        return (), None
+    if not isinstance(root.get("id"), str):
+        diags.append(_schema_error("expected an object with string id", "/tree"))
         return (), None
     nodes: list[TaxonomyNode] = []
-
-    def walk(item, path) -> Optional[str]:
-        if not isinstance(item, dict) or "id" not in item:
-            diags.append(_schema_error("tree node needs an id", path))
-            return None
-        child_ids = []
-        for j, child in enumerate(item.get("children", [])):
-            child_id = walk(child, f"{path}/children/{j}")
-            if child_id is not None:
-                child_ids.append(child_id)
+    stack = [(root, "/tree")]
+    while stack:
+        item, path = stack.pop()
+        children = list(_records(item, "children", ("id",), path, diags))
+        stack.extend(children)
         nodes.append(
             TaxonomyNode(
-                id=str(item["id"]),
-                label=str(item.get("label", item["id"])),
-                kind=str(item.get("kind", "group")),
-                children=tuple(child_ids),
-                category_ref=item.get("category_ref"),
+                id=item["id"],
+                label=_field(item, "label", "string", path, diags, item["id"]),
+                kind=_field(item, "kind", "string", path, diags, "group"),
+                children=tuple(child["id"] for child, _ in children),
+                category_ref=_field(item, "category_ref", "string", path, diags),
             )
         )
-        return str(item["id"])
+    nodes.reverse()
+    return tuple(nodes), root["id"]
 
-    root_id = walk(raw, "/tree")
-    return tuple(nodes), root_id
+
+def _syntax_error(exc: Exception, path: str = "/") -> IngestError:
+    return IngestError([Diagnostic("E_SYNTAX", "error", str(exc), path)])
 
 
 def decode_document(data: str | bytes) -> Any:
-    """Decode UTF-8 JSON text; undecodable input raises IngestError (E_SYNTAX)."""
+    """Decode UTF-8 JSON text; undecodable or too deeply nested input raises
+    IngestError (E_SYNTAX)."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise IngestError([Diagnostic("E_SYNTAX", "error", str(exc), "/")]) from None
     except json.JSONDecodeError as exc:
-        raise IngestError(
-            [Diagnostic("E_SYNTAX", "error", str(exc), f"/line/{exc.lineno}")]
-        ) from None
+        raise _syntax_error(exc, f"/line/{exc.lineno}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise _syntax_error(exc) from None
+
+
+def read_document(path: str) -> Any:
+    """Decode the JSON file at path; a file that cannot be read or decoded
+    raises IngestError (E_SYNTAX)."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise _syntax_error(exc) from None
+    return decode_document(data)
 
 
 def parse_taxonomy_document(
@@ -268,7 +287,7 @@ def parse_document_dict(
             )
         )
     for section in ("traits", "categories"):
-        if section not in doc:
+        if doc.get(section) is None:
             diags.append(_schema_error(f"missing required section {section!r}", "/"))
     known = {
         "schema_version",
@@ -282,34 +301,16 @@ def parse_document_dict(
     for key in sorted(set(doc) - known):
         diags.append(_schema_error(f"unknown top-level key {key!r}", f"/{key}"))
 
-    traits = _parse_traits(doc.get("traits", []), diags)
-    channels = _parse_channels(doc.get("channels", []), diags)
-    categories = _parse_categories(doc.get("categories", []), diags)
-    tables = _parse_tables(doc.get("tables", []), diags)
-    nodes, root_id = _parse_tree(doc.get("tree"), diags)
-    materialized = materialize_trait_sets(categories, tables)
-    # An inline implementable set that disagrees with the tables is an
-    # error, never a silent union.
-    for inline, category in zip(categories, materialized):
-        if inline.implementable_trait_ids and inline is not category:
-            diags.append(
-                Diagnostic(
-                    "E_TABLE_MISMATCH",
-                    "error",
-                    "inline implementable_trait_ids disagree with table rows "
-                    f"for {category.id!r}",
-                    f"/categories/{category.id}",
-                )
-            )
-
+    tables = _parse_tables(doc, diags)
+    nodes, root_id = _parse_tree(doc, diags)
     model = TaxonomyModel(
-        traits=traits,
-        categories=materialized,
+        traits=_parse_traits(doc, diags),
+        categories=_parse_categories(doc, table_marks(tables), diags),
         nodes=nodes,
         root_id=root_id,
-        channels=channels,
+        channels=_parse_channels(doc, diags),
         tables=tables,
-        metadata=dict(doc.get("meta", {})),
+        metadata=dict(_field(doc, "meta", "object", "", diags, {})),
     )
     diags.extend(validate_model(model))
     return model, sorted(diags, key=lambda d: (d.code, d.path, d.message))
@@ -415,43 +416,10 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     """
     if not isinstance(extension, dict):
         raise IngestError([_schema_error("extension must be a JSON object", "/")])
-    extension = copy.deepcopy(extension)
-    conflicts: list[Diagnostic] = []
     diags: list[Diagnostic] = []
-
-    new_traits = _parse_traits(extension.get("traits", []), diags)
-    new_categories = _parse_categories(extension.get("categories", []), diags)
-    new_channels = _parse_channels(extension.get("channels", []), diags)
-    new_tables = _parse_tables(extension.get("tables", []), diags)
-    if any(d.is_error() for d in diags):
-        raise IngestError(diags)
-
-    def extend(existing, incoming, lookup, what):
-        out = list(existing)
-        for item in incoming:
-            current = lookup(item.id)
-            if current is None:
-                out.append(item)
-            elif current != item:
-                conflicts.append(
-                    Diagnostic(
-                        "E_CONFLICT",
-                        "error",
-                        f"{what} {item.id!r} is already defined with different content",
-                        f"/{what}s/{item.id}",
-                    )
-                )
-        return tuple(out)
-
-    traits = extend(base.traits, new_traits, base.trait, "trait")
-    categories = extend(base.categories, new_categories, base.category, "category")
-    channels = extend(base.channels, new_channels, base.channel, "channel")
-    if conflicts:
-        raise IngestError(conflicts)
-
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
-    for table in new_tables:
+    for table in _parse_tables(extension, diags):
         if table.name not in by_name:
             tables.append(table)
             continue
@@ -465,28 +433,48 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
         ]
         row_index = {r.category_id: i for i, r in enumerate(rows)}
         for row in table.rows:
-            if row.category_id in row_index:
-                i = row_index[row.category_id]
+            i = row_index.get(row.category_id)
+            if i is None:
+                rows.append(row)
+            else:
                 merged = tuple(dict.fromkeys(rows[i].marks + row.marks))
                 rows[i] = TableRow(row.category_id, merged)
-            else:
-                rows.append(row)
-        tables[by_name[table.name]] = CheckTable(
-            name=current.name,
-            title=current.title,
-            trait_columns=tuple(columns),
-            rows=tuple(rows),
+        tables[by_name[table.name]] = replace(
+            current, trait_columns=tuple(columns), rows=tuple(rows)
         )
 
+    # Base and incoming categories both take their trait sets from the
+    # merged tables, so they compare on their own content.
+    marks = table_marks(tables)
+    new_traits = _parse_traits(extension, diags)
+    new_categories = _parse_categories(extension, marks, diags)
+    new_channels = _parse_channels(extension, diags)
+    if any(d.is_error() for d in diags):
+        raise IngestError(diags)
+
+    conflicts: list[Diagnostic] = []
+
+    def extend(existing, incoming, key):
+        current = {item.id: item for item in existing}
+        for item in incoming:
+            if current.get(item.id, item) != item:
+                message = f"{item.id!r} is already defined with different content"
+                conflicts.append(Diagnostic("E_CONFLICT", "error", message, f"/{key}/{item.id}"))
+        return existing + tuple(item for item in incoming if item.id not in current)
+
     merged = TaxonomyModel(
-        traits=traits,
-        categories=materialize_trait_sets(categories, tables),
+        traits=extend(base.traits, new_traits, "traits"),
+        categories=extend(
+            materialize_trait_sets(base.categories, tables), new_categories, "categories"
+        ),
         nodes=base.nodes,
         root_id=base.root_id,
-        channels=channels,
+        channels=extend(base.channels, new_channels, "channels"),
         tables=tuple(tables),
         metadata=dict(base.metadata),
     )
+    if conflicts:
+        raise IngestError(conflicts)
     problems = [d for d in validate_model(merged) if d.is_error()]
     if problems:
         raise IngestError(problems)
@@ -498,19 +486,19 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
 # ---------------------------------------------------------------------------
 
 def bundled_dataset_text() -> str:
-    """Raw text of the dataset, honoring the POLYTAX_DATA override."""
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        with open(override, encoding="utf-8") as f:
-            return f.read()
+    """Raw text of the dataset shipped with the package."""
     return (
         resources.files("polytax").joinpath("data", BUNDLED_DATASET).read_text("utf-8")
     )
 
 
 def load_bundled_dataset() -> TaxonomyModel:
-    """Load and validate the dataset shipped with the package."""
-    model, diags = parse_taxonomy_document(bundled_dataset_text())
+    """Load and validate the shipped dataset, or the file POLYTAX_DATA names."""
+    override = os.environ.get(DATA_ENV_VAR)
+    if override:
+        model, diags = load_model_from_path(override)
+    else:
+        model, diags = parse_taxonomy_document(bundled_dataset_text())
     errors = [d for d in diags if d.is_error()]
     if model is None or errors:
         raise IngestError(errors or diags)
@@ -518,8 +506,12 @@ def load_bundled_dataset() -> TaxonomyModel:
 
 
 def load_model_from_path(path: str) -> tuple[Optional[TaxonomyModel], list[Diagnostic]]:
-    with open(path, "rb") as f:
-        return parse_taxonomy_document(f.read())
+    """Parse the file at path; see parse_taxonomy_document."""
+    try:
+        doc = read_document(path)
+    except IngestError as exc:
+        return None, exc.diagnostics
+    return parse_document_dict(doc)
 
 
 __all__ = [
@@ -529,6 +521,7 @@ __all__ = [
     "DIAGNOSTIC_CODES",
     "IngestError",
     "decode_document",
+    "read_document",
     "parse_taxonomy_document",
     "parse_document_dict",
     "model_to_document",

@@ -175,40 +175,56 @@ ONE_CATEGORY = {
 }
 
 # "@name" stands for a file written by the test; env values may use it too.
+# Each case is (argv, env, exit code, text expected on stderr).
 BAD_INPUTS = {
-    "merge-not-json": (["merge", "@dataset", "@not-json"], {}, "E_SYNTAX"),
-    "merge-json-list": (["merge", "@dataset", "@json-list"], {}, "E_SCHEMA"),
-    "corr-one-row": (["corr", "--input", "@one-category"], {}, "E_BAD_FILTER"),
-    "dist-one-row": (["dist", "--input", "@one-category"], {}, "E_BAD_FILTER"),
+    "merge-not-json": (["merge", "@dataset", "@not-json"], {}, 1, "E_SYNTAX"),
+    "merge-json-list": (["merge", "@dataset", "@json-list"], {}, 1, "E_SCHEMA"),
+    "corr-one-row": (["corr", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"),
+    "dist-one-row": (["dist", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"),
     "mst-exclude-one-row": (
-        ["mst", "--null-mode", "exclude", "--input", "@one-category"], {}, "E_BAD_FILTER"
+        ["mst", "--null-mode", "exclude", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"
     ),
-    "tree-without-tree": (["tree", "--input", "@one-category"], {}, "E_NOT_FOUND"),
-    "count-bad-data": (["policies", "count"], {ingest.DATA_ENV_VAR: "@not-json"}, "E_SYNTAX"),
-    "matrix-bad-data": (["matrix"], {ingest.DATA_ENV_VAR: "@not-json"}, "E_SYNTAX"),
+    "tree-without-tree": (["tree", "--input", "@one-category"], {}, 1, "E_NOT_FOUND"),
+    "count-bad-data": (["policies", "count"], {ingest.DATA_ENV_VAR: "@not-json"}, 1, "E_SYNTAX"),
+    "matrix-bad-data": (["matrix"], {ingest.DATA_ENV_VAR: "@not-json"}, 1, "E_SYNTAX"),
+    "count-missing-data": (
+        ["policies", "count"], {ingest.DATA_ENV_VAR: "@missing"}, 1, "E_SYNTAX"
+    ),
+    "count-undecodable-data": (
+        ["policies", "count"], {ingest.DATA_ENV_VAR: "@ff-fe"}, 1, "E_SYNTAX"
+    ),
+    "validate-deep-tree": (["validate", "@deep-tree"], {}, 1, "E_SYNTAX"),
+    "validate-directory": (["validate", "@directory"], {}, 2, "is a directory"),
+    "merge-directory": (["merge", "@dataset", "@directory"], {}, 2, "is a directory"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, case):
-    files = {"@dataset": dataset_file}
-    for name, text in (
-        ("not-json", "{not json"),
-        ("json-list", "[1, 2]"),
-        ("one-category", json.dumps(ONE_CATEGORY)),
+    files = {
+        "@dataset": dataset_file,
+        "@missing": str(tmp_path / "missing.json"),
+        "@directory": str(tmp_path),
+    }
+    for name, data in (
+        ("not-json", b"{not json"),
+        ("json-list", b"[1, 2]"),
+        ("one-category", json.dumps(ONE_CATEGORY).encode()),
+        ("ff-fe", b"\xff\xfe"),
+        ("deep-tree", b'{"tree": ' + b'{"id": "g", "children": [' * 5000 + b"]}" * 5000 + b"}"),
     ):
         path = tmp_path / f"{name}.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         files[f"@{name}"] = str(path)
-    argv, env, code = BAD_INPUTS[case]
+    argv, env, exit_code, expected = BAD_INPUTS[case]
     result = runner.invoke(
         main,
         [files.get(a, a) for a in argv],
         env={k: files.get(v, v) for k, v in env.items()},
     )
-    assert result.exit_code == 1
+    assert result.exit_code == exit_code
     # Any other exception escaping main is printed as a traceback by
     # `python -m polytax.cli`.
     assert type(result.exception) is SystemExit
-    assert code in result.stderr
+    assert expected in result.stderr
     assert "Traceback" not in result.stderr

@@ -1,5 +1,6 @@
 import pytest
 
+from polytax import ingest
 from polytax.enumeration import (
     EnumerationFilter,
     build_tree,
@@ -152,6 +153,14 @@ def test_leaf_group_paths_match_tree(model):
         if node.category_ref is not None:
             category = model.category(node.category_ref)
             assert len(category.group_path) == depth
+
+
+def test_iter_tree_visits_each_node_of_a_cyclic_model_once():
+    # The inner "a" repeats its parent's id, so "a" lists itself as a child.
+    doc = {"schema_version": "1", "traits": [], "categories": [],
+           "tree": {"id": "r", "children": [{"id": "a", "children": [{"id": "a"}]}]}}
+    cyclic, _ = ingest.parse_document_dict(doc)
+    assert [(node.id, depth) for node, depth in iter_tree(cyclic)] == [("r", 0), ("a", 1)]
 
 
 # ---------------------------------------------------------------------------

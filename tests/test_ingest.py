@@ -2,8 +2,11 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytax import ingest
+from polytax.enumeration import iter_tree
+from polytax.export import export_tree_text
 from polytax.model import models_equivalent
 
 from .strategies import taxonomy_models
@@ -169,11 +172,19 @@ def test_merge_conflicting_redefinition_rejected(model):
     assert exc.value.diagnostics[0].code == "E_CONFLICT"
 
 
-def test_merge_identical_redefinition_is_noop(model):
+@pytest.mark.parametrize("section", ["traits", "channels", "categories", "tables"])
+def test_merge_identical_redefinition_is_noop(model, section):
     doc = ingest.model_to_document(model)
-    extension = {"traits": [doc["traits"][0]]}
+    extension = {section: [doc[section][0]]}
     merged = ingest.merge_extension(model, extension)
     assert merged == model
+
+
+def test_merge_conflict_path_names_the_section(model):
+    category = dict(ingest.model_to_document(model)["categories"][0], name="Renamed")
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.merge_extension(model, {"categories": [category]})
+    assert [d.path for d in exc.value.diagnostics] == [f"/categories/{category['id']}"]
 
 
 def test_merge_empty_extension_is_identity(model):
@@ -219,3 +230,132 @@ def test_env_var_overrides_bundled_dataset(model, tmp_path, monkeypatch):
     monkeypatch.setenv(ingest.DATA_ENV_VAR, str(alt))
     loaded = ingest.load_bundled_dataset()
     assert loaded.metadata["version"] == "alt"
+
+
+# ---------------------------------------------------------------------------
+# totality
+# ---------------------------------------------------------------------------
+
+SMALL = {
+    "schema_version": "1",
+    "meta": {"version": "small"},
+    "traits": [
+        {"id": "rate", "name": "Rate", "parameters": [{"name": "r", "kind": "rate"}]},
+        {"id": "mode", "name": "Mode", "subtraits": [
+            {"id": "flat", "name": "Flat", "parameters": [{"name": "f", "kind": "amount"}]},
+            {"id": "ladder", "name": "Ladder"},
+        ]},
+    ],
+    "channels": [
+        {"id": "ch", "authority": "government", "name": "Channel",
+         "statement_path": ["Operating Income", "Taxes"]},
+    ],
+    "categories": [
+        {"id": "a", "name": "A", "group_path": ["Economic Policy", "G"],
+         "cross_tags": ["x"], "channel_ref": "ch",
+         "own_parameters": [{"name": "base", "kind": "reference"}],
+         "implementable_trait_ids": ["rate", "mode"]},
+        {"id": "b", "name": "B", "group_path": ["Economic Policy", "G"]},
+    ],
+    "tables": [
+        {"name": "t", "title": "T", "trait_columns": ["rate", "mode"], "rows": [
+            {"category": "a", "marks": ["rate", "mode"]},
+            {"category": "b", "marks": ["rate"]},
+        ]},
+    ],
+    "tree": {"id": "root", "label": "Economic Policy", "children": [
+        {"id": "g", "label": "G", "children": [
+            {"id": "na", "label": "A", "kind": "category", "category_ref": "a"},
+            {"id": "nb", "label": "B", "kind": "category", "category_ref": "b"},
+        ]},
+    ]},
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def value_paths(value, path=()):
+    """The key path of every value inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from value_paths(child, path + (key,))
+
+
+SMALL_PATHS = list(value_paths(SMALL))
+SMALL_MODEL, _ = ingest.parse_document_dict(SMALL)
+
+
+def substitute(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_small_document_is_clean():
+    _, diags = ingest.parse_document_dict(SMALL)
+    assert diags == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(SMALL_PATHS), value=json_values)
+def test_parsing_is_total(path, value):
+    doc = substitute(SMALL, path, value)
+    for parse in (ingest.parse_document_dict,
+                  lambda d: ingest.parse_taxonomy_document(json.dumps(d))):
+        _, diags = parse(doc)
+        assert {d.code for d in diags} <= ingest.DIAGNOSTIC_CODES
+    try:
+        ingest.merge_extension(SMALL_MODEL, doc)
+    except ingest.IngestError as exc:
+        assert {d.code for d in exc.diagnostics} <= ingest.DIAGNOSTIC_CODES
+
+
+def test_wrong_kinds_are_schema_errors_at_their_path():
+    doc = substitute(SMALL, ("categories", 0, "id"), [1])
+    doc = substitute(doc, ("traits", 1, "subtraits", 0, "parameters", 0), "p")
+    doc = substitute(doc, ("tables", 0, "rows", 1, "marks"), 5)
+    model, diags = ingest.parse_document_dict(doc)
+    schema = sorted(d.path for d in diags if d.code == "E_SCHEMA")
+    assert schema == [
+        "/categories/0",
+        "/tables/0/rows/1/marks",
+        "/traits/1/subtraits/0/parameters/0",
+    ]
+    assert [c.id for c in model.categories] == ["b"]
+
+
+def test_string_section_is_one_schema_error():
+    _, diags = ingest.parse_document_dict(substitute(SMALL, ("categories",), "abc"))
+    assert [d.path for d in diags if d.code == "E_SCHEMA"] == ["/categories"]
+
+
+def deep_chain(depth):
+    """A tree of `depth` nested groups, built without recursion."""
+    node = {"id": f"g{depth}"}
+    for i in reversed(range(depth)):
+        node = {"id": f"g{i}", "children": [node]}
+    return {"schema_version": "1", "traits": [], "categories": [], "tree": node}
+
+
+def test_deep_tree_parses_validates_walks_and_exports():
+    # parse_document_dict runs validate_model; its diagnostics are included.
+    model, diags = ingest.parse_document_dict(deep_chain(5000))
+    assert diags == []
+    depths = [depth for _, depth in iter_tree(model)]
+    assert depths == list(range(5001))
+    assert export_tree_text(model).text.count("\n") == 5001
