@@ -5,10 +5,11 @@ Pearson correlation and Euclidean distance are both computed from the
 integer co-occurrence counts of those series, so every value is a
 correctly rounded function of exact integers and does not depend on the
 BLAS build. Pearson correlation is undefined (NaN) for pairs involving a
-constant series. The minimum-spanning tree is built with Kruskal's
-algorithm and union-find, with lexicographic label tie-breaks so that
-output is deterministic; its pruned distance matrix and adjacency matrix
-are computed on access from the edge list.
+constant series. The minimum-spanning tree takes the edges (i, j), i < j,
+in one order: by weight, then by sorted label pair, then by (i, j). That
+order is strict and total, so the tree is unique and does not depend on
+the algorithm that finds it. Its pruned distance matrix and adjacency
+matrix are computed on access from the edge list.
 """
 from __future__ import annotations
 
@@ -104,9 +105,7 @@ def build_trait_matrix(model: TaxonomyModel, null_mode: str = "include") -> Trai
                 cells[col_index[trait_id]] = True
         if not cells.any():
             saw_null = True
-            if null_mode == "exclude":
-                continue
-            if null_mode == "collapse":
+            if null_mode != "include":
                 continue
         labels.append(category.id)
         rows.append(cells)
@@ -156,57 +155,44 @@ def euclidean_distance(matrix: TraitMatrix) -> DistanceMatrix:
     return DistanceMatrix(matrix.row_labels, np.sqrt(n1[:, None] + n1[None, :] - 2 * n11))
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with union by rank and path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def kruskal_mst(dist: DistanceMatrix) -> MstResult:
     """Minimum-spanning tree over a complete distance matrix.
 
-    Equal-weight edges are taken in ascending lexicographic order of their
-    label pair, which pins the tree even when many distances tie.
+    Returns the tree Kruskal's algorithm returns under the module's edge
+    order (weight cells[i, j] with i < j, then sorted label pair, then
+    (i, j)), with its edges in that order.
     """
     labels = dist.labels
     n = len(labels)
     if n == 0:
         raise PolicyError("E_EMPTY", "distance matrix has no nodes")
+    # Each edge's position in that order. Labels are ranked in Python's
+    # string order: numpy "<U" strings would drop trailing NULs.
+    rank_of = {label: r for r, label in enumerate(sorted(set(labels)))}
+    rank = np.array([rank_of[label] for label in labels], dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    order = np.lexsort(
+        (np.maximum(rank[i], rank[j]), np.minimum(rank[i], rank[j]), dist.cells[i, j])
+    )
+    position = np.zeros((n, n), dtype=np.int64)
+    position[i[order], j[order]] = position[j[order], i[order]] = np.arange(len(order))
 
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = tuple(sorted((labels[i], labels[j])))
-            candidates.append((float(dist.cells[i, j]), pair, i, j))
-    candidates.sort(key=lambda e: (e[0], e[1]))
-
-    uf = UnionFind(n)
-    edges: list[tuple[int, int, float]] = []
-    for weight, _, i, j in candidates:
-        if uf.union(i, j):
-            edges.append((i, j, weight))
-            if len(edges) == n - 1:
-                break
-    return MstResult(labels, tuple(edges))
+    # Dense Prim over the positions finds the one tree of that strict order.
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = position[0].copy()
+    taken = np.empty(n - 1, dtype=np.int64)
+    never = np.iinfo(np.int64).max
+    for t in range(n - 1):
+        v = int(np.argmin(np.where(in_tree, never, best)))
+        taken[t] = best[v]
+        in_tree[v] = True
+        best = np.minimum(best, position[v])
+    chosen = order[np.sort(taken)]
+    edges = tuple(
+        (int(a), int(b), float(dist.cells[a, b])) for a, b in zip(i[chosen], j[chosen])
+    )
+    return MstResult(labels, edges)
 
 
 def trait_less_category_ids(model: TaxonomyModel) -> list[str]:
@@ -221,7 +207,6 @@ __all__ = [
     "CorrelationMatrix",
     "DistanceMatrix",
     "MstResult",
-    "UnionFind",
     "build_trait_matrix",
     "signal_series",
     "pearson_correlation",

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors.
 Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
-read or decoded is an E_SYNTAX error. The bundled dataset is the default
-input; POLYTAX_DATA or --input override it.
+read or decoded is an E_SYNTAX error, and an --out file that cannot be
+written exits 1 with a one-line message. The bundled dataset is the
+default input; POLYTAX_DATA or --input override it.
 """
 from __future__ import annotations
 
@@ -39,9 +40,12 @@ def _trait_matrix(input_path: Optional[str], null_mode: str) -> analytics.TraitM
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as f:
             f.write(text)
+    except OSError as exc:
+        raise click.FileError(out, hint=exc.strerror) from None
 
 
 input_option = click.option(
@@ -53,7 +57,9 @@ null_mode_option = click.option(
     type=click.Choice(analytics.NULL_MODES),
     help="How to treat categories that implement no traits.",
 )
-out_option = click.option("--out", default=None, type=click.Path(), help="Output file.")
+out_option = click.option(
+    "--out", default=None, type=click.Path(dir_okay=False), help="Output file."
+)
 
 
 class _Main(click.Group):

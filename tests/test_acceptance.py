@@ -26,7 +26,11 @@ from polytax.export import export_matrix_csv, export_mst_dot, export_tree_dot
 from polytax.model import PolicyError, instantiate_atomic_policy, validate_model
 
 from .strategies import taxonomy_models
-from .test_analytics import brute_force_mst_weight, random_binary_matrix
+from .test_analytics import (
+    assert_spanning_tree,
+    brute_force_mst_weight,
+    random_binary_matrix,
+)
 from .test_ingest import GOLDEN_TABLE_COUNTS, GOLDEN_TOTAL
 
 TOL = 1e-9
@@ -107,13 +111,7 @@ def test_criterion_4_mst_correctness(model):
         for null_mode in ("include", "collapse", "exclude"):
             tm = build_trait_matrix(model, null_mode)
             mst = kruskal_mst(euclidean_distance(tm))
-            n = len(tm.row_labels)
-            assert len(mst.edges) == n - 1
-            # n-1 edges touching all n nodes without cycles span the graph
-            from polytax.analytics import UnionFind
-
-            uf = UnionFind(n)
-            assert all(uf.union(i, j) for i, j, _ in mst.edges)
+            assert_spanning_tree(mst.edges, len(tm.row_labels))
         assert time.perf_counter() - start < 10.0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from polytax.analytics import (
     NULL_POLICY_LABEL,
     DistanceMatrix,
+    MstResult,
     TraitMatrix,
     build_trait_matrix,
     euclidean_distance,
@@ -46,6 +48,51 @@ def brute_force_mst_weight(cells):
         if len(seen) == n:
             best = min(best, sum(cells[i, j] for i, j in subset))
     return best
+
+
+class UnionFind:
+    """Disjoint sets over range(n) with path halving."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[ra] = rb
+        return ra != rb
+
+
+def reference_kruskal(dist):
+    """Kruskal over the pairs i < j sorted by (weight, sorted label pair).
+
+    The sort is stable, so pairs with equal keys keep their (i, j) order.
+    """
+    labels = dist.labels
+    n = len(labels)
+    candidates = sorted(
+        (
+            (float(dist.cells[i, j]), tuple(sorted((labels[i], labels[j]))), i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ),
+        key=lambda e: e[:2],
+    )
+    uf = UnionFind(n)
+    return MstResult(labels, tuple((i, j, w) for w, _, i, j in candidates if uf.union(i, j)))
+
+
+def assert_spanning_tree(edges, n):
+    """n - 1 edges that never close a cycle span all n nodes."""
+    assert len(edges) == n - 1
+    uf = UnionFind(n)
+    assert all(uf.union(i, j) for i, j, _ in edges)
 
 
 def random_binary_matrix(rng, n, width=5):
@@ -348,14 +395,7 @@ def test_mst_on_bundled_dataset(model, null_mode):
     dist = euclidean_distance(tm)
     mst = kruskal_mst(dist)
     n = len(tm.row_labels)
-    assert len(mst.edges) == n - 1
-    # acyclic and spanning: union-find merges n-1 times without rejection
-    from polytax.analytics import UnionFind
-
-    uf = UnionFind(n)
-    for i, j, _ in mst.edges:
-        assert uf.union(i, j)
-    assert len({uf.find(i) for i in range(n)}) == 1
+    assert_spanning_tree(mst.edges, n)
     # adjacency and pruned grid agree with the edge list
     for i, j, w in mst.edges:
         assert mst.adjacency[i, j] == mst.adjacency[j, i] == 1
@@ -370,3 +410,45 @@ def test_mst_on_bundled_dataset(model, null_mode):
         if i != j and np.isnan(mst.pruned.cells[i, j])
     )
     assert missing == non_edges
+
+
+def tie_heavy_distances(rng, n, duplicate_labels, asymmetric):
+    """A DistanceMatrix with many equal weights.
+
+    Duplicate labels come from a small alphabet that has "A" and "A\\0",
+    which numpy's fixed-width strings would not tell apart.
+
+    Symmetric cases are Euclidean distances of 0/1 rows; asymmetric ones are
+    random cells rounded to 0.1, of which only the upper triangle counts.
+    """
+    if duplicate_labels:
+        labels = tuple(rng.choice(["A", "A\0", "B", "C"]) for _ in range(n))
+    else:
+        labels = tuple(rng.sample([f"L{k:02d}" for k in range(n)], n))
+    if asymmetric:
+        cells = np.array([[round(rng.random() / 2, 1) for _ in range(n)] for _ in range(n)])
+        return DistanceMatrix(labels, cells)
+    tm = random_binary_matrix(rng, n, rng.randint(1, 5))
+    return DistanceMatrix(labels, euclidean_distance(tm).cells if n > 1 else np.zeros((1, 1)))
+
+
+def test_mst_edges_equal_reference_kruskal():
+    rng = random.Random(20261018)
+    for case in range(800):
+        dist = tie_heavy_distances(rng, rng.randint(1, 25), case % 2 == 1, case % 4 >= 2)
+        assert kruskal_mst(dist).edges == reference_kruskal(dist).edges, dist
+
+
+@pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])
+def test_mst_edges_equal_reference_kruskal_on_bundled_dataset(model, null_mode):
+    # A category with traits whose id is "Null Policy" gives two rows of that
+    # label under collapse.
+    named = next(c for c in model.categories if c.implementable_trait_ids)
+    categories = tuple(
+        dataclasses.replace(c, id=NULL_POLICY_LABEL) if c is named else c
+        for c in model.categories
+    )
+    tm = build_trait_matrix(dataclasses.replace(model, categories=categories), null_mode)
+    assert tm.row_labels.count(NULL_POLICY_LABEL) == (2 if null_mode == "collapse" else 1)
+    dist = euclidean_distance(tm)
+    assert kruskal_mst(dist).edges == reference_kruskal(dist).edges

@@ -196,6 +196,10 @@ BAD_INPUTS = {
     "validate-deep-tree": (["validate", "@deep-tree"], {}, 1, "E_SYNTAX"),
     "validate-directory": (["validate", "@directory"], {}, 2, "is a directory"),
     "merge-directory": (["merge", "@dataset", "@directory"], {}, 2, "is a directory"),
+    "corr-out-directory": (["corr", "--out", "@directory"], {}, 2, "is a directory"),
+    "tree-out-missing-dir": (
+        ["tree", "--out", "@missing-dir"], {}, 1, "No such file or directory"
+    ),
 }
 
 
@@ -205,6 +209,7 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         "@dataset": dataset_file,
         "@missing": str(tmp_path / "missing.json"),
         "@directory": str(tmp_path),
+        "@missing-dir": str(tmp_path / "missing" / "tree.txt"),
     }
     for name, data in (
         ("not-json", b"{not json"),
