@@ -15,12 +15,12 @@ from typing import Iterable, Optional
 import click
 
 from . import analytics, enumeration, export, ingest
-from .model import Diagnostic, PolicyError, TaxonomyModel
+from .model import Diagnostic, PolicyCategory, PolicyError, TaxonomyModel
 
 
 def _report(diags: Iterable[Diagnostic]) -> None:
     for d in diags:
-        click.echo(f"{d.severity}: {d.code} at {d.path}: {d.message}", err=True)
+        click.echo(f"error: {d}", err=True)
 
 
 def _load_input(input_path: Optional[str]) -> TaxonomyModel:
@@ -28,7 +28,7 @@ def _load_input(input_path: Optional[str]) -> TaxonomyModel:
     if input_path is None:
         return ingest.load_bundled_dataset()
     model, diags = ingest.load_model_from_path(input_path)
-    if model is None or any(d.is_error() for d in diags):
+    if model is None or diags:
         raise ingest.IngestError(diags)
     return model
 
@@ -218,7 +218,7 @@ def merge(base, ext, out):
 def show(input_path, name):
     """Look up a category or tree node by id or name."""
     found = enumeration.lookup(_load_input(input_path), name)
-    if hasattr(found, "implementable_trait_ids"):
+    if isinstance(found, PolicyCategory):
         click.echo(f"category {found.id}: {found.name}")
         click.echo("group path: " + " > ".join(found.group_path))
         if found.cross_tags:

@@ -32,7 +32,7 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
     if flt.trait_id is not None and model.trait(flt.trait_id) is None:
         raise PolicyError("E_BAD_FILTER", f"unknown trait {flt.trait_id!r}")
     if flt.cross_tag is not None:
-        tags = set().union(*(c.cross_tags for c in model.categories)) if model.categories else set()
+        tags = set().union(*(c.cross_tags for c in model.categories))
         if flt.cross_tag not in tags:
             raise PolicyError("E_BAD_FILTER", f"unknown cross tag {flt.cross_tag!r}")
     if flt.group_prefix is not None:
@@ -45,7 +45,7 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
             )
 
 
-def _row_passes(model: TaxonomyModel, category: PolicyCategory, flt: EnumerationFilter) -> bool:
+def _row_passes(category: PolicyCategory, flt: EnumerationFilter) -> bool:
     if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
         return False
     if flt.group_prefix is not None:
@@ -73,7 +73,7 @@ def enumerate_schemas(
             continue
         for row in table.rows:
             category = model.category(row.category_id)
-            if category is None or not _row_passes(model, category, flt):
+            if category is None or not _row_passes(category, flt):
                 continue
             for trait_id in table.trait_columns:
                 if trait_id not in row.marks:
@@ -117,11 +117,11 @@ def build_tree(model: TaxonomyModel) -> TaxonomyNode:
     return root
 
 
-def iter_tree(model: TaxonomyModel, node: Optional[TaxonomyNode] = None, depth: int = 0):
+def iter_tree(model: TaxonomyModel):
     """Depth-first (node, depth) traversal in child order, with an explicit
     stack; each node id is visited once, so a cyclic model cannot loop."""
     seen = set()
-    stack = [(node or build_tree(model), depth)]
+    stack = [(build_tree(model), 0)]
     while stack:
         node, depth = stack.pop()
         if node.id not in seen:

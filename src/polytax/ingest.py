@@ -71,8 +71,7 @@ class IngestError(Exception):
 
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
-        first = diagnostics[0] if diagnostics else None
-        super().__init__(str(first) if first else "ingest failed")
+        super().__init__(str(diagnostics[0]) if diagnostics else "ingest failed")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +83,7 @@ _KINDS = {"string": str, "list": list, "object": dict, "strings": list}
 
 
 def _schema_error(message: str, path: str) -> Diagnostic:
-    return Diagnostic("E_SCHEMA", "error", message, path)
+    return Diagnostic("E_SCHEMA", path, message)
 
 
 def _field(obj: dict, key: str, kind: str, path: str, diags, default=None) -> Any:
@@ -164,9 +163,7 @@ def _parse_categories(doc, marks, diags) -> tuple[PolicyCategory, ...]:
         inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
         if inline and frozenset(inline) != implementable:
             message = f"inline implementable_trait_ids disagree with table rows for {category_id!r}"
-            diags.append(
-                Diagnostic("E_TABLE_MISMATCH", "error", message, f"/categories/{category_id}")
-            )
+            diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{category_id}", message))
         out.append(
             PolicyCategory(
                 id=category_id,
@@ -230,7 +227,7 @@ def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
 
 
 def _syntax_error(exc: Exception, path: str = "/") -> IngestError:
-    return IngestError([Diagnostic("E_SYNTAX", "error", str(exc), path)])
+    return IngestError([Diagnostic("E_SYNTAX", path, str(exc))])
 
 
 def decode_document(data: str | bytes) -> Any:
@@ -313,7 +310,7 @@ def parse_document_dict(
         metadata=dict(_field(doc, "meta", "object", "", diags, {})),
     )
     diags.extend(validate_model(model))
-    return model, sorted(diags, key=lambda d: (d.code, d.path, d.message))
+    return model, sorted(diags)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +446,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     new_traits = _parse_traits(extension, diags)
     new_categories = _parse_categories(extension, marks, diags)
     new_channels = _parse_channels(extension, diags)
-    if any(d.is_error() for d in diags):
+    if diags:
         raise IngestError(diags)
 
     conflicts: list[Diagnostic] = []
@@ -459,7 +456,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
         for item in incoming:
             if current.get(item.id, item) != item:
                 message = f"{item.id!r} is already defined with different content"
-                conflicts.append(Diagnostic("E_CONFLICT", "error", message, f"/{key}/{item.id}"))
+                conflicts.append(Diagnostic("E_CONFLICT", f"/{key}/{item.id}", message))
         return existing + tuple(item for item in incoming if item.id not in current)
 
     merged = TaxonomyModel(
@@ -475,7 +472,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     )
     if conflicts:
         raise IngestError(conflicts)
-    problems = [d for d in validate_model(merged) if d.is_error()]
+    problems = validate_model(merged)
     if problems:
         raise IngestError(problems)
     return merged
@@ -499,9 +496,8 @@ def load_bundled_dataset() -> TaxonomyModel:
         model, diags = load_model_from_path(override)
     else:
         model, diags = parse_taxonomy_document(bundled_dataset_text())
-    errors = [d for d in diags if d.is_error()]
-    if model is None or errors:
-        raise IngestError(errors or diags)
+    if model is None or diags:
+        raise IngestError(diags)
     return model
 
 

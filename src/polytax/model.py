@@ -2,12 +2,14 @@
 
 The model is a set of trait definitions, policy categories, transaction
 channels, checkmark tables and a taxonomy tree. Everything is immutable
-after construction; validation never raises, it returns diagnostics.
+after construction; validation never raises, it returns diagnostics. A
+Diagnostic is a code, a JSON path and a message; every diagnostic is an
+error, and lists of them are sorted by those three fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 PARAMETER_KINDS = frozenset(
     {"rate", "amount", "ladder", "period", "condition", "reference", "bounds"}
@@ -32,17 +34,17 @@ class PolicyError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Diagnostic:
-    """One validation finding: a stable code, a severity, and a locator."""
+    """One finding, and always an error: a stable code, the JSON path it is
+    at, and a message. Diagnostics sort by these three fields in turn."""
 
     code: str
-    severity: str  # "error" | "warning"
-    message: str
     path: str
+    message: str
 
-    def is_error(self) -> bool:
-        return self.severity == "error"
+    def __str__(self) -> str:
+        return f"{self.code} at {self.path}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -231,86 +233,51 @@ def materialize_trait_sets(
 # Validation
 # ---------------------------------------------------------------------------
 
-def _check_parameters(
-    params: Iterable[ParameterSpec], path: str, out: list[Diagnostic]
-) -> None:
+# A finding as validation yields it: (code, path, message).
+Finding = tuple[str, str, str]
+
+
+def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Finding]:
     seen = set()
     for p in params:
+        param_path = f"{path}/parameters/{p.name}"
         if p.kind not in PARAMETER_KINDS:
-            out.append(
-                Diagnostic(
-                    "E_BAD_KIND",
-                    "error",
-                    f"unknown parameter kind {p.kind!r}",
-                    f"{path}/parameters/{p.name}",
-                )
-            )
+            yield "E_BAD_KIND", param_path, f"unknown parameter kind {p.kind!r}"
         if p.name in seen:
-            out.append(
-                Diagnostic(
-                    "E_DUP_PARAM",
-                    "error",
-                    f"duplicate parameter name {p.name!r}",
-                    f"{path}/parameters/{p.name}",
-                )
-            )
+            yield "E_DUP_PARAM", param_path, f"duplicate parameter name {p.name!r}"
         seen.add(p.name)
 
 
-def _check_unique_ids(items, path_prefix: str, out: list[Diagnostic]) -> None:
+def _check_unique_ids(items, path_prefix: str) -> Iterator[Finding]:
     seen = set()
     for item in items:
         if item.id in seen:
-            out.append(
-                Diagnostic(
-                    "E_DUP_ID",
-                    "error",
-                    f"duplicate id {item.id!r}",
-                    f"{path_prefix}/{item.id}",
-                )
-            )
+            yield "E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}"
         seen.add(item.id)
 
 
-def _validate_tree(model: TaxonomyModel, out: list[Diagnostic]) -> None:
+def _validate_tree(model: TaxonomyModel) -> Iterator[Finding]:
     if model.root_id is None:
         if model.nodes:
-            out.append(
-                Diagnostic("E_NOT_A_TREE", "error", "nodes without a root", "/tree")
-            )
+            yield "E_NOT_A_TREE", "/tree", "nodes without a root"
         return
     if model.node(model.root_id) is None:
-        out.append(
-            Diagnostic(
-                "E_DANGLING_NODE_REF",
-                "error",
-                f"root id {model.root_id!r} does not resolve",
-                "/tree",
-            )
-        )
+        yield "E_DANGLING_NODE_REF", "/tree", f"root id {model.root_id!r} does not resolve"
         return
 
     parent_of: dict[str, str] = {}
     for node in model.nodes:
         for child_id in node.children:
             if model.node(child_id) is None:
-                out.append(
-                    Diagnostic(
-                        "E_DANGLING_NODE_REF",
-                        "error",
-                        f"child id {child_id!r} does not resolve",
-                        f"/tree/{node.id}",
-                    )
+                yield (
+                    "E_DANGLING_NODE_REF", f"/tree/{node.id}",
+                    f"child id {child_id!r} does not resolve",
                 )
                 continue
             if child_id in parent_of or child_id == model.root_id:
-                out.append(
-                    Diagnostic(
-                        "E_NOT_A_TREE",
-                        "error",
-                        f"node {child_id!r} has more than one parent",
-                        f"/tree/{child_id}",
-                    )
+                yield (
+                    "E_NOT_A_TREE", f"/tree/{child_id}",
+                    f"node {child_id!r} has more than one parent",
                 )
                 continue
             parent_of[child_id] = node.id
@@ -329,94 +296,52 @@ def _validate_tree(model: TaxonomyModel, out: list[Diagnostic]) -> None:
             stack.extend(node.children)
     for node in model.nodes:
         if node.id not in reachable:
-            out.append(
-                Diagnostic(
-                    "E_NOT_A_TREE",
-                    "error",
-                    f"node {node.id!r} is not reachable from the root",
-                    f"/tree/{node.id}",
-                )
+            yield (
+                "E_NOT_A_TREE", f"/tree/{node.id}",
+                f"node {node.id!r} is not reachable from the root",
             )
 
     for node in model.nodes:
+        path = f"/tree/{node.id}"
         if node.kind not in NODE_KINDS:
-            out.append(
-                Diagnostic(
-                    "E_BAD_KIND",
-                    "error",
-                    f"unknown node kind {node.kind!r}",
-                    f"/tree/{node.id}",
-                )
-            )
+            yield "E_BAD_KIND", path, f"unknown node kind {node.kind!r}"
         if node.kind == "category":
             if node.category_ref is None or model.category(node.category_ref) is None:
-                out.append(
-                    Diagnostic(
-                        "E_UNKNOWN_CATEGORY",
-                        "error",
-                        f"category node {node.id!r} has no resolvable category_ref",
-                        f"/tree/{node.id}",
-                    )
+                yield (
+                    "E_UNKNOWN_CATEGORY", path,
+                    f"category node {node.id!r} has no resolvable category_ref",
                 )
             if node.children:
-                out.append(
-                    Diagnostic(
-                        "E_BAD_LEAF",
-                        "error",
-                        f"category node {node.id!r} must not have children",
-                        f"/tree/{node.id}",
-                    )
-                )
+                yield "E_BAD_LEAF", path, f"category node {node.id!r} must not have children"
         elif node.category_ref is not None and model.category(node.category_ref) is None:
-            out.append(
-                Diagnostic(
-                    "E_UNKNOWN_CATEGORY",
-                    "error",
-                    f"node {node.id!r} references unknown category",
-                    f"/tree/{node.id}",
-                )
-            )
+            yield "E_UNKNOWN_CATEGORY", path, f"node {node.id!r} references unknown category"
 
 
-def _validate_tables(model: TaxonomyModel, out: list[Diagnostic]) -> None:
+def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
     seen_names = set()
     for table in model.tables:
         path = f"/tables/{table.name}"
         if table.name in seen_names:
-            out.append(
-                Diagnostic("E_DUP_ID", "error", f"duplicate table {table.name!r}", path)
-            )
+            yield "E_DUP_ID", path, f"duplicate table {table.name!r}"
         seen_names.add(table.name)
         for trait_id in table.trait_columns:
             if model.trait(trait_id) is None:
-                out.append(
-                    Diagnostic(
-                        "E_UNKNOWN_TRAIT",
-                        "error",
-                        f"table column {trait_id!r} is not a trait",
-                        f"{path}/columns/{trait_id}",
-                    )
+                yield (
+                    "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
+                    f"table column {trait_id!r} is not a trait",
                 )
         for row in table.rows:
             row_path = f"{path}/rows/{row.category_id}"
             if model.category(row.category_id) is None:
-                out.append(
-                    Diagnostic(
-                        "E_UNKNOWN_CATEGORY",
-                        "error",
-                        f"row references unknown category {row.category_id!r}",
-                        row_path,
-                    )
+                yield (
+                    "E_UNKNOWN_CATEGORY", row_path,
+                    f"row references unknown category {row.category_id!r}",
                 )
             for mark in row.marks:
                 if mark not in table.trait_columns:
-                    out.append(
-                        Diagnostic(
-                            "E_BAD_MARK",
-                            "error",
-                            f"mark {mark!r} is not a column of table {table.name!r}",
-                            row_path,
-                        )
+                    yield (
+                        "E_BAD_MARK", row_path,
+                        f"mark {mark!r} is not a column of table {table.name!r}",
                     )
 
     # Tables are the source of truth for implementable traits; a category
@@ -425,15 +350,49 @@ def _validate_tables(model: TaxonomyModel, out: list[Diagnostic]) -> None:
         marks = table_marks(model.tables)
         for category in model.categories:
             if category.implementable_trait_ids != marks.get(category.id, set()):
-                out.append(
-                    Diagnostic(
-                        "E_TABLE_MISMATCH",
-                        "error",
-                        "implementable_trait_ids disagree with table checkmarks "
-                        f"for {category.id!r}",
-                        f"/categories/{category.id}",
-                    )
+                yield (
+                    "E_TABLE_MISMATCH", f"/categories/{category.id}",
+                    f"implementable_trait_ids disagree with table checkmarks for {category.id!r}",
                 )
+
+
+def _findings(model: TaxonomyModel) -> Iterator[Finding]:
+    yield from _check_unique_ids(model.traits, "/traits")
+    for trait in model.traits:
+        path = f"/traits/{trait.id}"
+        yield from _check_parameters(trait.parameters, path)
+        yield from _check_unique_ids(trait.subtraits, f"{path}/subtraits")
+        for sub in trait.subtraits:
+            yield from _check_parameters(sub.parameters, f"{path}/subtraits/{sub.id}")
+
+    yield from _check_unique_ids(model.categories, "/categories")
+    for category in model.categories:
+        path = f"/categories/{category.id}"
+        yield from _check_parameters(category.own_parameters, path)
+        for trait_id in sorted(category.implementable_trait_ids):
+            if model.trait(trait_id) is None:
+                yield "E_UNKNOWN_TRAIT", path, f"implementable trait {trait_id!r} does not resolve"
+        if not category.group_path or category.group_path[0] != ROOT_GROUP:
+            yield "E_BAD_GROUP_PATH", path, f"group_path must start at {ROOT_GROUP!r}"
+        if category.channel_ref is not None and model.channel(category.channel_ref) is None:
+            yield (
+                "E_UNKNOWN_CHANNEL", path, f"channel_ref {category.channel_ref!r} does not resolve"
+            )
+
+    yield from _check_unique_ids(model.channels, "/channels")
+    for channel in model.channels:
+        path = f"/channels/{channel.id}"
+        if channel.authority not in AUTHORITIES:
+            yield "E_BAD_KIND", path, f"unknown authority {channel.authority!r}"
+        if not channel.statement_path or channel.statement_path[0] not in STATEMENT_SECTIONS:
+            yield (
+                "E_BAD_STATEMENT_PATH", path,
+                "statement_path must start with an income-statement section",
+            )
+
+    yield from _check_unique_ids(model.nodes, "/tree")
+    yield from _validate_tree(model)
+    yield from _validate_tables(model)
 
 
 def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
@@ -442,75 +401,7 @@ def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
     Validation is total: it collects all findings instead of stopping at
     the first one, and the result is insensitive to list order in the model.
     """
-    out: list[Diagnostic] = []
-
-    _check_unique_ids(model.traits, "/traits", out)
-    for trait in model.traits:
-        path = f"/traits/{trait.id}"
-        _check_parameters(trait.parameters, path, out)
-        _check_unique_ids(trait.subtraits, f"{path}/subtraits", out)
-        for sub in trait.subtraits:
-            _check_parameters(sub.parameters, f"{path}/subtraits/{sub.id}", out)
-
-    _check_unique_ids(model.categories, "/categories", out)
-    for category in model.categories:
-        path = f"/categories/{category.id}"
-        _check_parameters(category.own_parameters, path, out)
-        for trait_id in sorted(category.implementable_trait_ids):
-            if model.trait(trait_id) is None:
-                out.append(
-                    Diagnostic(
-                        "E_UNKNOWN_TRAIT",
-                        "error",
-                        f"implementable trait {trait_id!r} does not resolve",
-                        path,
-                    )
-                )
-        if not category.group_path or category.group_path[0] != ROOT_GROUP:
-            out.append(
-                Diagnostic(
-                    "E_BAD_GROUP_PATH",
-                    "error",
-                    f"group_path must start at {ROOT_GROUP!r}",
-                    path,
-                )
-            )
-        if category.channel_ref is not None and model.channel(category.channel_ref) is None:
-            out.append(
-                Diagnostic(
-                    "E_UNKNOWN_CHANNEL",
-                    "error",
-                    f"channel_ref {category.channel_ref!r} does not resolve",
-                    path,
-                )
-            )
-
-    _check_unique_ids(model.channels, "/channels", out)
-    for channel in model.channels:
-        path = f"/channels/{channel.id}"
-        if channel.authority not in AUTHORITIES:
-            out.append(
-                Diagnostic(
-                    "E_BAD_KIND",
-                    "error",
-                    f"unknown authority {channel.authority!r}",
-                    path,
-                )
-            )
-        if not channel.statement_path or channel.statement_path[0] not in STATEMENT_SECTIONS:
-            out.append(
-                Diagnostic(
-                    "E_BAD_STATEMENT_PATH",
-                    "error",
-                    "statement_path must start with an income-statement section",
-                    path,
-                )
-            )
-
-    _check_unique_ids(model.nodes, "/tree", out)
-    _validate_tree(model, out)
-    _validate_tables(model, out)
-    return sorted(out, key=lambda d: (d.code, d.path, d.message))
+    return sorted(Diagnostic(*f) for f in _findings(model))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,13 @@ ONE_CATEGORY = {
     "tables": [{"name": "main", "trait_columns": ["t"], "rows": [{"category": "c", "marks": ["t"]}]}],
 }
 
+ONE_CHANNEL = {
+    "schema_version": "1",
+    "traits": [],
+    "categories": [],
+    "channels": [{"id": "ch", "authority": "mint", "statement_path": ["Operating Income"]}],
+}
+
 # "@name" stands for a file written by the test; env values may use it too.
 # Each case is (argv, env, exit code, text expected on stderr).
 BAD_INPUTS = {
@@ -194,6 +201,10 @@ BAD_INPUTS = {
         ["policies", "count"], {ingest.DATA_ENV_VAR: "@ff-fe"}, 1, "E_SYNTAX"
     ),
     "validate-deep-tree": (["validate", "@deep-tree"], {}, 1, "E_SYNTAX"),
+    "validate-bad-authority": (
+        ["validate", "@one-channel"], {}, 1,
+        "error: E_BAD_KIND at /channels/ch: unknown authority 'mint'\n",
+    ),
     "validate-directory": (["validate", "@directory"], {}, 2, "is a directory"),
     "merge-directory": (["merge", "@dataset", "@directory"], {}, 2, "is a directory"),
     "corr-out-directory": (["corr", "--out", "@directory"], {}, 2, "is a directory"),
@@ -215,6 +226,7 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         ("not-json", b"{not json"),
         ("json-list", b"[1, 2]"),
         ("one-category", json.dumps(ONE_CATEGORY).encode()),
+        ("one-channel", json.dumps(ONE_CHANNEL).encode()),
         ("ff-fe", b"\xff\xfe"),
         ("deep-tree", b'{"tree": ' + b'{"id": "g", "children": [' * 5000 + b"]}" * 5000 + b"}"),
     ):

@@ -115,7 +115,7 @@ def test_empty_sections_are_valid():
 def test_roundtrip_identity_property(m):
     text = ingest.serialize_taxonomy_document(m)
     again, diags = ingest.parse_taxonomy_document(text)
-    assert [d for d in diags if d.is_error()] == []
+    assert diags == []
     assert again == m
 
 
@@ -185,6 +185,10 @@ def test_merge_conflict_path_names_the_section(model):
     with pytest.raises(ingest.IngestError) as exc:
         ingest.merge_extension(model, {"categories": [category]})
     assert [d.path for d in exc.value.diagnostics] == [f"/categories/{category['id']}"]
+    assert str(exc.value) == (
+        f"E_CONFLICT at /categories/{category['id']}: "
+        f"{category['id']!r} is already defined with different content"
+    )
 
 
 def test_merge_empty_extension_is_identity(model):

@@ -3,15 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from polytax import ingest
 from polytax.model import (
     CheckTable,
     ParameterSpec,
     PolicyCategory,
     PolicyError,
+    SubtraitDef,
     TableRow,
     TaxonomyModel,
     TaxonomyNode,
     TraitDef,
+    TransactionChannel,
     instantiate_atomic_policy,
     validate_model,
 )
@@ -91,6 +94,128 @@ def test_table_mismatch_detected():
     )
     codes = [d.code for d in validate_model(bad)]
     assert "E_TABLE_MISMATCH" in codes
+
+
+def triples(diags):
+    return [(d.code, d.path, d.message) for d in diags]
+
+
+def test_every_finding_site_is_pinned():
+    """Each finding site in validation, parsing and merge, code, path and
+    message exactly, in sorted order; together they emit every documented code."""
+    def param(name, kind="rate"):
+        return ParameterSpec(name, kind)
+
+    broken = TaxonomyModel(
+        traits=(
+            TraitDef(
+                "t", "T", parameters=(param("x"), param("x", "colour")),
+                subtraits=(SubtraitDef("s", "S"), SubtraitDef("s", "S", (param("y", "size"),))),
+            ),
+            TraitDef("t", "T again"),
+        ),
+        categories=(
+            PolicyCategory(
+                "c", "C", own_parameters=(param("z"), param("z")), group_path=("Elsewhere",),
+                implementable_trait_ids=frozenset({"t", "ghost"}), channel_ref="nowhere",
+            ),
+            PolicyCategory("d", "D"),
+            PolicyCategory("d", "D"),
+        ),
+        nodes=(
+            TaxonomyNode("r", "Economic Policy", "group", ("g", "leaf", "missing", "leaf")),
+            TaxonomyNode("g", "G", "folder", category_ref="nope"),
+            TaxonomyNode("leaf", "Leaf", "category", children=("x",)),
+            TaxonomyNode("x", "X", "group"),
+            TaxonomyNode("x", "X", "group"),
+            TaxonomyNode("orphan", "Orphan", "group"),
+        ),
+        root_id="r",
+        channels=(
+            TransactionChannel("ch", "mint", ("Elsewhere",), "Ch"),
+            TransactionChannel("ch", "government", ("Operating Income",), "Ch"),
+        ),
+        tables=(
+            CheckTable(
+                "main", "Main", ("t", "ghost-col"),
+                (TableRow("c", ("t", "bogus")), TableRow("nobody", ())),
+            ),
+            CheckTable("main", "Main again", (), ()),
+        ),
+    )
+    # A tree without a root, or with a root that does not resolve, ends the
+    # tree checks, so each needs a model of its own.
+    rootless = TaxonomyModel(nodes=(TaxonomyNode("n", "N", "group"),))
+    dangling_root = TaxonomyModel(nodes=(TaxonomyNode("n", "N", "group"),), root_id="gone")
+    doc = {
+        "schema_version": "1",
+        "traits": [{"id": "t", "name": "T"}],
+        "categories": [
+            {"id": "c", "name": "C", "group_path": ["Economic Policy"],
+             "implementable_trait_ids": ["t"]},
+        ],
+    }
+    base, inline_mismatch = ingest.parse_document_dict(doc)
+    with pytest.raises(ingest.IngestError) as conflict:
+        ingest.merge_extension(base, {"traits": [{"id": "t", "name": "Other"}]})
+    cases = [
+        (validate_model(broken), [
+            ("E_BAD_GROUP_PATH", "/categories/c", "group_path must start at 'Economic Policy'"),
+            ("E_BAD_KIND", "/channels/ch", "unknown authority 'mint'"),
+            ("E_BAD_KIND", "/traits/t/parameters/x", "unknown parameter kind 'colour'"),
+            ("E_BAD_KIND", "/traits/t/subtraits/s/parameters/y", "unknown parameter kind 'size'"),
+            ("E_BAD_KIND", "/tree/g", "unknown node kind 'folder'"),
+            ("E_BAD_LEAF", "/tree/leaf", "category node 'leaf' must not have children"),
+            ("E_BAD_MARK", "/tables/main/rows/c", "mark 'bogus' is not a column of table 'main'"),
+            ("E_BAD_STATEMENT_PATH", "/channels/ch",
+             "statement_path must start with an income-statement section"),
+            ("E_DANGLING_NODE_REF", "/tree/r", "child id 'missing' does not resolve"),
+            ("E_DUP_ID", "/categories/d", "duplicate id 'd'"),
+            ("E_DUP_ID", "/channels/ch", "duplicate id 'ch'"),
+            ("E_DUP_ID", "/tables/main", "duplicate table 'main'"),
+            ("E_DUP_ID", "/traits/t", "duplicate id 't'"),
+            ("E_DUP_ID", "/traits/t/subtraits/s", "duplicate id 's'"),
+            ("E_DUP_ID", "/tree/x", "duplicate id 'x'"),
+            ("E_DUP_PARAM", "/categories/c/parameters/z", "duplicate parameter name 'z'"),
+            ("E_DUP_PARAM", "/traits/t/parameters/x", "duplicate parameter name 'x'"),
+            ("E_NOT_A_TREE", "/tree/leaf", "node 'leaf' has more than one parent"),
+            ("E_NOT_A_TREE", "/tree/orphan", "node 'orphan' is not reachable from the root"),
+            ("E_TABLE_MISMATCH", "/categories/c",
+             "implementable_trait_ids disagree with table checkmarks for 'c'"),
+            ("E_UNKNOWN_CATEGORY", "/tables/main/rows/nobody",
+             "row references unknown category 'nobody'"),
+            ("E_UNKNOWN_CATEGORY", "/tree/g", "node 'g' references unknown category"),
+            ("E_UNKNOWN_CATEGORY", "/tree/leaf",
+             "category node 'leaf' has no resolvable category_ref"),
+            ("E_UNKNOWN_CHANNEL", "/categories/c", "channel_ref 'nowhere' does not resolve"),
+            ("E_UNKNOWN_TRAIT", "/categories/c", "implementable trait 'ghost' does not resolve"),
+            ("E_UNKNOWN_TRAIT", "/tables/main/columns/ghost-col",
+             "table column 'ghost-col' is not a trait"),
+        ]),
+        (validate_model(rootless), [("E_NOT_A_TREE", "/tree", "nodes without a root")]),
+        (validate_model(dangling_root), [
+            ("E_DANGLING_NODE_REF", "/tree", "root id 'gone' does not resolve"),
+        ]),
+        (ingest.parse_taxonomy_document("{")[1], [
+            ("E_SYNTAX", "/line/1",
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ]),
+        (ingest.parse_document_dict(dict(doc, extra=1))[1], [
+            ("E_SCHEMA", "/extra", "unknown top-level key 'extra'"),
+            ("E_TABLE_MISMATCH", "/categories/c",
+             "inline implementable_trait_ids disagree with table rows for 'c'"),
+        ]),
+        (inline_mismatch, [
+            ("E_TABLE_MISMATCH", "/categories/c",
+             "inline implementable_trait_ids disagree with table rows for 'c'"),
+        ]),
+        (conflict.value.diagnostics, [
+            ("E_CONFLICT", "/traits/t", "'t' is already defined with different content"),
+        ]),
+    ]
+    for diags, expected in cases:
+        assert triples(diags) == expected
+    assert {code for _, expected in cases for code, _, _ in expected} == ingest.DIAGNOSTIC_CODES
 
 
 @settings(max_examples=50, deadline=None)
