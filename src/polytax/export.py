@@ -3,16 +3,18 @@
 All exporters are pure functions of (model, options) and emit byte-stable
 UTF-8 payloads, so repeated exports diff clean. Matrix cells are written
 as the shortest repr of their float64 value; since analytics computes
-them from exact integer counts, the CSV bytes do not depend on the BLAS.
-Undefined cells (NaN: correlations of constant rows, non-tree cells of
-the MST-pruned distances) become empty fields.
+them from exact integer counts, the CSV bytes do not depend on the BLAS,
+and few values are distinct, so each distinct bit pattern is formatted
+once per export. Undefined cells (NaN: correlations of constant rows,
+non-tree cells of the MST-pruned distances) become empty fields. Labels
+are quoted per RFC 4180 when they hold a comma, quote, CR or LF.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -92,16 +94,49 @@ def export_mst_dot(mst: MstResult) -> ExportArtifact:
     return ExportArtifact("dot-mst", "\n".join(lines) + "\n")
 
 
-def _format_cell(value: Union[bool, float]) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return "" if math.isnan(value) else repr(value)
+class _CellText(dict):
+    """Memo from a cell's key to its CSV text, filled on first lookup.
+
+    Float cells are keyed by their float64 bit pattern, so -0.0 and 0.0
+    stay apart and all NaNs of one payload share one entry; other cells
+    (bool, int) are keyed by their Python value, and booleans become 0/1.
+    """
+
+    def __init__(self, floats: bool):
+        super().__init__()
+        self.floats = floats
+
+    def __missing__(self, key: int) -> str:
+        if self.floats:
+            value = struct.unpack("d", struct.pack("Q", key))[0]
+            text = "" if math.isnan(value) else repr(value)
+        else:
+            text = str(int(key))
+        self[key] = text
+        return text
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """RFC 4180: a field holding a comma, quote, CR or LF is quoted."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(fields: list[str]) -> str:
+    # As in csv.writer, a row of one empty field is "" so it still reads as a row.
+    return '""' if fields == [""] else ",".join(fields)
 
 
 def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
     """RFC-4180-style CSV: header row of column labels, label column first.
 
-    Booleans become 0/1 and undefined (NaN) cells become empty fields.
+    Booleans become 0/1, floats the repr of their float64 value, and
+    undefined (NaN) cells empty fields. Each distinct cell value is
+    formatted once.
     """
     if isinstance(matrix, TraitMatrix):
         kind, rows, cols = "csv-matrix", matrix.row_labels, matrix.col_labels
@@ -109,11 +144,15 @@ def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
         kind = "csv-correlation" if isinstance(matrix, CorrelationMatrix) else "csv-distance"
         rows = cols = matrix.labels
 
+    floats = matrix.cells.dtype.kind == "f"
+    text = _CellText(floats)
+    # One growing buffer: holding every row string until a final join left
+    # the heap ~15 MB larger at n=1000.
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["", *cols])
+    buf.write(_csv_line([_csv_field(label) for label in ("", *cols)]) + "\n")
     for label, row in zip(rows, matrix.cells):
-        writer.writerow([label, *map(_format_cell, row.tolist())])
+        keys = row.astype("f8", copy=False).view("u8").tolist() if floats else row.tolist()
+        buf.write(_csv_line([_csv_field(label), *map(text.__getitem__, keys)]) + "\n")
     return ExportArtifact(kind, buf.getvalue())
 
 
@@ -122,13 +161,18 @@ def export_pruned_csv(mst: MstResult) -> ExportArtifact:
     return export_matrix_csv(mst.pruned)
 
 
+def _md_cell(text: str) -> str:
+    """A pipe inside a cell is escaped so it does not start a new column."""
+    return text.replace("|", "\\|")
+
+
 def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifact:
     """Markdown pipe table mirroring one checkmark table, plus a tags column."""
     table = model.table(table_name)
     if table is None:
         raise KeyError(table_name)
     trait_names = [
-        model.trait(t).name if model.trait(t) else t for t in table.trait_columns
+        _md_cell(model.trait(t).name if model.trait(t) else t) for t in table.trait_columns
     ]
     lines = [
         "| Category | " + " | ".join(trait_names) + " | tags |",
@@ -141,7 +185,7 @@ def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifa
             "x" if t in row.marks else "" for t in table.trait_columns
         ]
         tags = ", ".join(sorted(category.cross_tags)) if category else ""
-        lines.append("| " + " | ".join([name] + marks + [tags]) + " |")
+        lines.append("| " + " | ".join([_md_cell(name)] + marks + [_md_cell(tags)]) + " |")
     return ExportArtifact("markdown-table", "\n".join(lines) + "\n")
 
 

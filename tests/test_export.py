@@ -1,7 +1,11 @@
 import csv
+import dataclasses
 import io
+import math
+import re
 
 import numpy as np
+import pytest
 
 from polytax.analytics import (
     CorrelationMatrix,
@@ -23,6 +27,22 @@ from polytax.export import (
     export_tree_text,
     slugify,
 )
+
+
+# The per-cell writer that export_matrix_csv replaced, kept as its byte oracle.
+def _format_cell(value):
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return "" if math.isnan(value) else repr(value)
+
+
+def reference_matrix_csv(rows, cols, cells):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["", *cols])
+    for label, row in zip(rows, cells):
+        writer.writerow([label, *map(_format_cell, row.tolist())])
+    return buf.getvalue()
 
 
 # Test-only CSV importer used to round-trip exported matrices.
@@ -173,3 +193,68 @@ def test_slugify():
     assert slugify("Null Policy") == "null_policy"
     assert slugify("Manufacturers' Sale Tax") == "manufacturers_sale_tax"
     assert slugify("--") == "node"
+
+
+ODD_LABELS = ("", " lead", "trail ", "a,b", 'say "hi"', "two\nlines", "Zolltarif €", "ü,\"\n")
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0BAD], dtype=np.uint64).view(np.float64)[0]
+SPECIAL = (-0.0, 0.0, np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324, 1e300, 1 / 3, -2 / 3)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20251018)
+    for n in (1, 2, 5, 8, 17):
+        labels = tuple(ODD_LABELS[i % len(ODD_LABELS)] for i in range(n))
+        thirds = rng.integers(-9, 10, size=(n, n)) / 3
+        floats = np.where(rng.random((n, n)) < 0.3, thirds, rng.choice(SPECIAL, size=(n, n)))
+        yield CorrelationMatrix(labels, floats)
+        yield DistanceMatrix(labels, np.sqrt(rng.integers(0, 65, size=(n, n)).astype(float)))
+        cols = tuple(reversed(labels))
+        yield TraitMatrix(labels, cols, rng.random((n, n)) < 0.4)
+    yield TraitMatrix(ODD_LABELS, (), np.zeros((len(ODD_LABELS), 0), dtype=bool))
+    yield TraitMatrix(("solo",), ODD_LABELS, np.ones((1, len(ODD_LABELS)), dtype=bool))
+    yield DistanceMatrix(("", "x"), np.array([[-0.0, PAYLOAD_NAN], [np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("matrix", list(_oracle_cases()))
+def test_matrix_csv_matches_per_cell_writer(matrix):
+    if isinstance(matrix, TraitMatrix):
+        rows, cols = matrix.row_labels, matrix.col_labels
+    else:
+        rows = cols = matrix.labels
+    assert export_matrix_csv(matrix).text == reference_matrix_csv(rows, cols, matrix.cells)
+
+
+def test_zero_column_matrix_csv_bytes():
+    tm = TraitMatrix(("a", "", 'q"x', "c,d"), (), np.zeros((4, 0), dtype=bool))
+    assert export_matrix_csv(tm).text == '""\na\n""\n"q""x"\n"c,d"\n'
+
+
+def test_carriage_return_labels_are_quoted_and_round_trip():
+    labels = ("", " s", "l\r")
+    dist = DistanceMatrix(labels, np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 1.5], [2.0, 1.5, 0.0]]))
+    text = export_matrix_csv(dist).text
+    assert text == ',, s,"l\r"\n,0.0,0.1,2.0\n s,0.1,0.0,1.5\n"l\r",2.0,1.5,0.0\n'
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert tuple(rows[0][1:]) == labels
+    assert tuple(r[0] for r in rows[1:]) == labels
+
+
+def test_markdown_table_escapes_pipes_in_cells(model):
+    table = model.table("other-expenses")
+    cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
+    piped = dataclasses.replace(
+        model,
+        categories=[
+            dataclasses.replace(c, name="Tax | levy", cross_tags=c.cross_tags | {"a|b"})
+            if c.id == cat_id else c
+            for c in model.categories
+        ],
+        traits=[
+            dataclasses.replace(t, name="rate|base") if t.id == trait_id else t
+            for t in model.traits
+        ],
+    )
+    lines = export_table_markdown(piped, "other-expenses").text.splitlines()
+    assert "Tax \\| levy" in lines[2] and "a\\|b" in lines[2] and "rate\\|base" in lines[0]
+    pipes = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
+    assert pipes == [pipes[0]] * len(lines)
