@@ -9,18 +9,14 @@ default input; POLYTAX_DATA or --input override it.
 """
 from __future__ import annotations
 
+import functools
 import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 import click
 
 from . import analytics, enumeration, export, ingest
-from .model import Diagnostic, PolicyCategory, PolicyError, TaxonomyModel
-
-
-def _report(diags: Iterable[Diagnostic]) -> None:
-    for d in diags:
-        click.echo(f"error: {d}", err=True)
+from .model import PolicyCategory, PolicyError, TaxonomyModel
 
 
 def _load_input(input_path: Optional[str]) -> TaxonomyModel:
@@ -69,7 +65,8 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except ingest.IngestError as exc:
-            _report(exc.diagnostics)
+            for d in exc.diagnostics:
+                click.echo(f"error: {d}", err=True)
         except PolicyError as exc:
             click.echo(str(exc), err=True)
         raise SystemExit(1)
@@ -105,44 +102,48 @@ def tree(input_path, fmt, out):
     _write_out(artifact.text, out)
 
 
-def _make_filter(table, tag, trait, group):
-    return enumeration.EnumerationFilter(
-        table=table,
-        cross_tag=tag,
-        trait_id=trait,
-        group_prefix=tuple(group.split("/")) if group else None,
-    )
-
-
 @main.group()
 def policies():
     """Enumerate atomic-policy schemas."""
 
 
+def filter_options(command):
+    """The schema filter options that policies list and count share; the
+    command gets the input path, an EnumerationFilter as flt and the
+    expand-subtraits flag."""
+
+    @functools.wraps(command)
+    def with_filter(table, tag, trait, group, **kwargs):
+        prefix = tuple(group.split("/")) if group else None
+        flt = enumeration.EnumerationFilter(
+            table=table, group_prefix=prefix, cross_tag=tag, trait_id=trait
+        )
+        return command(flt=flt, **kwargs)
+
+    for option in reversed((
+        input_option,
+        click.option("--table", default=None),
+        click.option("--tag", default=None),
+        click.option("--trait", default=None),
+        click.option("--group", default=None, help="Group path prefix, '/'-separated."),
+        click.option("--expand-subtraits", is_flag=True),
+    )):
+        with_filter = option(with_filter)
+    return with_filter
+
+
 @policies.command("list")
-@input_option
-@click.option("--table", default=None)
-@click.option("--tag", default=None)
-@click.option("--trait", default=None)
-@click.option("--group", default=None, help="Group path prefix, '/'-separated.")
-@click.option("--expand-subtraits", is_flag=True)
-def policies_list(input_path, table, tag, trait, group, expand_subtraits):
+@filter_options
+def policies_list(input_path, flt, expand_subtraits):
     """List schemas, one category/trait[/subtrait] per line."""
-    schemas = enumeration.enumerate_schemas(
-        _load_input(input_path), _make_filter(table, tag, trait, group), expand_subtraits
-    )
+    schemas = enumeration.enumerate_schemas(_load_input(input_path), flt, expand_subtraits)
     click.echo(export.export_schema_list(schemas).text, nl=False)
 
 
 @policies.command("count")
-@input_option
-@click.option("--table", default=None)
-@click.option("--tag", default=None)
-@click.option("--trait", default=None)
-@click.option("--group", default=None)
-@click.option("--expand-subtraits", is_flag=True)
+@filter_options
 @click.option("--by", default=None, type=click.Choice(["table", "category", "trait"]))
-def policies_count(input_path, table, tag, trait, group, expand_subtraits, by):
+def policies_count(input_path, flt, expand_subtraits, by):
     """Count schemas under a filter, or grouped counts with --by."""
     model = _load_input(input_path)
     if by is not None:
@@ -150,40 +151,27 @@ def policies_count(input_path, table, tag, trait, group, expand_subtraits, by):
         for name in sorted(counts):
             click.echo(f"{name}: {counts[name]}")
         return
-    schemas = enumeration.enumerate_schemas(
-        model, _make_filter(table, tag, trait, group), expand_subtraits
-    )
-    click.echo(str(len(schemas)))
+    click.echo(str(len(enumeration.enumerate_schemas(model, flt, expand_subtraits))))
 
 
-@main.command()
-@input_option
-@null_mode_option
-@out_option
-def matrix(input_path, null_mode, out):
-    """Export the boolean trait matrix as CSV."""
-    tm = _trait_matrix(input_path, null_mode)
-    _write_out(export.export_matrix_csv(tm).text, out)
+def _matrix_command(name: str, function: Optional[str], doc: str) -> None:
+    """Register a command that exports the trait matrix, or the analytics
+    function of that name applied to it, as CSV."""
+
+    @main.command(name, help=doc)
+    @input_option
+    @null_mode_option
+    @out_option
+    def command(input_path, null_mode, out):
+        result = _trait_matrix(input_path, null_mode)
+        if function is not None:
+            result = getattr(analytics, function)(result)
+        _write_out(export.export_matrix_csv(result).text, out)
 
 
-@main.command()
-@input_option
-@null_mode_option
-@out_option
-def corr(input_path, null_mode, out):
-    """Export the Pearson correlation matrix as CSV."""
-    tm = _trait_matrix(input_path, null_mode)
-    _write_out(export.export_matrix_csv(analytics.pearson_correlation(tm)).text, out)
-
-
-@main.command()
-@input_option
-@null_mode_option
-@out_option
-def dist(input_path, null_mode, out):
-    """Export the Euclidean distance matrix as CSV."""
-    tm = _trait_matrix(input_path, null_mode)
-    _write_out(export.export_matrix_csv(analytics.euclidean_distance(tm)).text, out)
+_matrix_command("matrix", None, "Export the boolean trait matrix as CSV.")
+_matrix_command("corr", "pearson_correlation", "Export the Pearson correlation matrix as CSV.")
+_matrix_command("dist", "euclidean_distance", "Export the Euclidean distance matrix as CSV.")
 
 
 @main.command()

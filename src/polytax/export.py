@@ -162,8 +162,8 @@ def export_pruned_csv(mst: MstResult) -> ExportArtifact:
 
 
 def _md_cell(text: str) -> str:
-    """A pipe inside a cell is escaped so it does not start a new column."""
-    return text.replace("|", "\\|")
+    """Escape pipes and write CR, LF or CRLF as <br>: a cell keeps its column and row."""
+    return re.sub(r"\r\n?|\n", "<br>", text.replace("|", "\\|"))
 
 
 def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifact:

@@ -2,15 +2,13 @@
 
 A document is a UTF-8 JSON object: schema_version "1", meta (an object),
 the lists traits, channels, categories and tables, and tree (one node
-object). Each id, name, kind, label, title, description, authority,
-channel_ref, category_ref and row category is a string; parameters,
-own_parameters, subtraits, rows and children are lists of objects;
-group_path, cross_tags, statement_path, trait_columns, marks and
-implementable_trait_ids are lists of strings. Parsing is total: a value
-of another kind is dropped with an E_SCHEMA at its JSON path (null counts
-as missing), and a file that cannot be read, decoded or nested as deeply
-gives E_SYNTAX. Tables are the source of truth for which traits a
-category can implement; each category's set is built from its table rows.
+object). The field tables below (_TRAIT, _CATEGORY, _NODE, ...) declare
+each record's keys, JSON kinds, defaults and dump order; parsing and
+serialization both read them. Parsing is total: a value of another kind
+is dropped with an E_SCHEMA at its JSON path (null counts as missing),
+and a file that cannot be read, decoded or nested as deeply gives
+E_SYNTAX. Tables are the source of truth for which traits a category can
+implement; each category's set is built from its table rows.
 """
 from __future__ import annotations
 
@@ -112,89 +110,91 @@ def _records(obj: dict, key: str, required: tuple[str, ...], path: str, diags):
             diags.append(_schema_error(message, item_path))
 
 
-def _parse_parameters(obj, key, path, diags) -> tuple[ParameterSpec, ...]:
+_REQUIRED = object()  # a string the record cannot lack; items without it are skipped
+_FIRST = object()  # defaults to the record's first field: name to id, title to name
+
+
+class _Record:
+    """A record kind of the document: its model class and its fields, each
+    (key, kind, default, attribute) in dump order. The kind is "string",
+    "strings" (a list of strings, held as the type of its default: a tuple,
+    or a frozenset that is dumped sorted) or the _Record of a nested list.
+    A field given as (key, kind, default) sets the attribute of that name."""
+
+    def __init__(self, cls: type, *fields: tuple):
+        self.cls = cls
+        self.fields = tuple((key, kind, default, attr[0] if attr else key)
+                            for key, kind, default, *attr in fields)
+        self.required = tuple(f[0] for f in self.fields if f[2] is _REQUIRED)
+
+
+_ID = ("id", "string", _REQUIRED)
+_NAME = ("name", "string", _FIRST)
+_DESCRIPTION = ("description", "string", "")
+
+_PARAMETER = _Record(ParameterSpec, ("name", "string", _REQUIRED), ("kind", "string", _REQUIRED))
+_PARAMETERS = ("parameters", _PARAMETER, ())
+_SUBTRAIT = _Record(SubtraitDef, _ID, _NAME, _DESCRIPTION, _PARAMETERS)
+_TRAIT = _Record(TraitDef, _ID, _NAME, _DESCRIPTION, _PARAMETERS, ("subtraits", _SUBTRAIT, ()))
+_CHANNEL = _Record(
+    TransactionChannel, _ID, ("authority", "string", ""), _NAME,
+    ("statement_path", "strings", ()), _DESCRIPTION,
+)
+# implementable_trait_ids is parse-only: it comes from the table marks.
+_CATEGORY = _Record(
+    PolicyCategory, _ID, _NAME, _DESCRIPTION, ("own_parameters", _PARAMETER, ()),
+    ("group_path", "strings", ()), ("cross_tags", "strings", frozenset()),
+    ("channel_ref", "string", None),
+)
+_ROW = _Record(TableRow, ("category", "string", _REQUIRED, "category_id"), ("marks", "strings", ()))
+_TABLE = _Record(
+    CheckTable, ("name", "string", _REQUIRED), ("title", "string", _FIRST),
+    ("trait_columns", "strings", ()), ("rows", _ROW, ()),
+)
+# children is parse-only: the tree walk reads it as a list of nodes.
+_NODE = _Record(
+    TaxonomyNode, _ID, ("label", "string", _FIRST), ("kind", "string", "group"),
+    ("category_ref", "string", None),
+)
+# The document's record lists in dump order, named as their model attributes.
+_SECTIONS = {"traits": _TRAIT, "channels": _CHANNEL, "categories": _CATEGORY, "tables": _TABLE}
+
+
+def _parse_record(item: dict, path: str, record: _Record, diags, **parse_only) -> Any:
+    values = parse_only
+    for key, kind, default, attr in record.fields:
+        if default is _REQUIRED:
+            values[attr] = item[key]
+        elif kind == "string":
+            if default is _FIRST:
+                default = item[record.required[0]]
+            values[attr] = _field(item, key, kind, path, diags, default)
+        elif kind == "strings":
+            values[attr] = default.__class__(_field(item, key, kind, path, diags, default))
+        else:
+            values[attr] = _parse_list(item, key, kind, path, diags)
+    return record.cls(**values)
+
+
+def _parse_list(obj: dict, key: str, record: _Record, path: str, diags) -> tuple:
     return tuple(
-        ParameterSpec(name=item["name"], kind=item["kind"])
-        for item, _ in _records(obj, key, ("name", "kind"), path, diags)
+        _parse_record(item, item_path, record, diags)
+        for item, item_path in _records(obj, key, record.required, path, diags)
     )
 
 
-def _parse_traits(doc, diags) -> tuple[TraitDef, ...]:
-    return tuple(
-        TraitDef(
-            id=item["id"],
-            name=_field(item, "name", "string", path, diags, item["id"]),
-            parameters=_parse_parameters(item, "parameters", path, diags),
-            subtraits=tuple(
-                SubtraitDef(
-                    id=sub["id"],
-                    name=_field(sub, "name", "string", sub_path, diags, sub["id"]),
-                    parameters=_parse_parameters(sub, "parameters", sub_path, diags),
-                    description=_field(sub, "description", "string", sub_path, diags, ""),
-                )
-                for sub, sub_path in _records(item, "subtraits", ("id",), path, diags)
-            ),
-            description=_field(item, "description", "string", path, diags, ""),
-        )
-        for item, path in _records(doc, "traits", ("id",), "", diags)
-    )
-
-
-def _parse_channels(doc, diags) -> tuple[TransactionChannel, ...]:
-    return tuple(
-        TransactionChannel(
-            id=item["id"],
-            authority=_field(item, "authority", "string", path, diags, ""),
-            statement_path=tuple(_field(item, "statement_path", "strings", path, diags, [])),
-            name=_field(item, "name", "string", path, diags, item["id"]),
-            description=_field(item, "description", "string", path, diags, ""),
-        )
-        for item, path in _records(doc, "channels", ("id",), "", diags)
-    )
-
-
-def _parse_categories(doc, marks, diags) -> tuple[PolicyCategory, ...]:
+def _categories_from_marks(doc, marks, diags) -> tuple[PolicyCategory, ...]:
     """Categories whose implementable sets come from the table marks; an
     inline set that disagrees with them is an error, never a silent union."""
     out = []
-    for item, path in _records(doc, "categories", ("id",), "", diags):
-        category_id = item["id"]
-        implementable = frozenset(marks.get(category_id, ()))
+    for item, path in _records(doc, "categories", _CATEGORY.required, "", diags):
+        trait_ids = frozenset(marks.get(item["id"], ()))
         inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
-        if inline and frozenset(inline) != implementable:
-            message = f"inline implementable_trait_ids disagree with table rows for {category_id!r}"
-            diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{category_id}", message))
-        out.append(
-            PolicyCategory(
-                id=category_id,
-                name=_field(item, "name", "string", path, diags, category_id),
-                description=_field(item, "description", "string", path, diags, ""),
-                own_parameters=_parse_parameters(item, "own_parameters", path, diags),
-                group_path=tuple(_field(item, "group_path", "strings", path, diags, [])),
-                cross_tags=frozenset(_field(item, "cross_tags", "strings", path, diags, [])),
-                implementable_trait_ids=implementable,
-                channel_ref=_field(item, "channel_ref", "string", path, diags),
-            )
-        )
+        if inline and frozenset(inline) != trait_ids:
+            message = f"inline implementable_trait_ids disagree with table rows for {item['id']!r}"
+            diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{item['id']}", message))
+        out.append(_parse_record(item, path, _CATEGORY, diags, implementable_trait_ids=trait_ids))
     return tuple(out)
-
-
-def _parse_tables(doc, diags) -> tuple[CheckTable, ...]:
-    return tuple(
-        CheckTable(
-            name=item["name"],
-            title=_field(item, "title", "string", path, diags, item["name"]),
-            trait_columns=tuple(_field(item, "trait_columns", "strings", path, diags, [])),
-            rows=tuple(
-                TableRow(
-                    category_id=row["category"],
-                    marks=tuple(_field(row, "marks", "strings", row_path, diags, [])),
-                )
-                for row, row_path in _records(item, "rows", ("category",), path, diags)
-            ),
-        )
-        for item, path in _records(doc, "tables", ("name",), "", diags)
-    )
 
 
 def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
@@ -211,17 +211,10 @@ def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
     stack = [(root, "/tree")]
     while stack:
         item, path = stack.pop()
-        children = list(_records(item, "children", ("id",), path, diags))
+        children = list(_records(item, "children", _NODE.required, path, diags))
         stack.extend(children)
-        nodes.append(
-            TaxonomyNode(
-                id=item["id"],
-                label=_field(item, "label", "string", path, diags, item["id"]),
-                kind=_field(item, "kind", "string", path, diags, "group"),
-                children=tuple(child["id"] for child, _ in children),
-                category_ref=_field(item, "category_ref", "string", path, diags),
-            )
-        )
+        ids = tuple(child["id"] for child, _ in children)
+        nodes.append(_parse_record(item, path, _NODE, diags, children=ids))
     nodes.reverse()
     return tuple(nodes), root["id"]
 
@@ -286,26 +279,17 @@ def parse_document_dict(
     for section in ("traits", "categories"):
         if doc.get(section) is None:
             diags.append(_schema_error(f"missing required section {section!r}", "/"))
-    known = {
-        "schema_version",
-        "meta",
-        "traits",
-        "channels",
-        "categories",
-        "tables",
-        "tree",
-    }
-    for key in sorted(set(doc) - known):
+    for key in sorted(set(doc) - {"schema_version", "meta", "tree", *_SECTIONS}):
         diags.append(_schema_error(f"unknown top-level key {key!r}", f"/{key}"))
 
-    tables = _parse_tables(doc, diags)
+    tables = _parse_list(doc, "tables", _TABLE, "", diags)
     nodes, root_id = _parse_tree(doc, diags)
     model = TaxonomyModel(
-        traits=_parse_traits(doc, diags),
-        categories=_parse_categories(doc, table_marks(tables), diags),
+        traits=_parse_list(doc, "traits", _TRAIT, "", diags),
+        categories=_categories_from_marks(doc, table_marks(tables), diags),
         nodes=nodes,
         root_id=root_id,
-        channels=_parse_channels(doc, diags),
+        channels=_parse_list(doc, "channels", _CHANNEL, "", diags),
         tables=tables,
         metadata=dict(_field(doc, "meta", "object", "", diags, {})),
     )
@@ -317,85 +301,41 @@ def parse_document_dict(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _dump_parameters(params) -> list[dict]:
-    return [{"name": p.name, "kind": p.kind} for p in params]
+def _dump_record(obj: Any, record: _Record) -> dict:
+    out = {}
+    for key, kind, default, attr in record.fields:
+        value = getattr(obj, attr)
+        if kind == "string":
+            out[key] = value
+        elif kind == "strings":
+            out[key] = sorted(value) if default.__class__ is frozenset else list(value)
+        else:
+            out[key] = [_dump_record(item, kind) for item in value]
+    return out
 
 
 def model_to_document(model: TaxonomyModel) -> dict:
-    """Canonical document form: stable key order, document list order."""
+    """Canonical document form: stable key order, document list order. A
+    node's fields that are None and its empty children are left out."""
 
     def dump_node(node_id: str) -> dict:
         node = model.node(node_id)
-        out: dict[str, Any] = {"id": node.id, "label": node.label, "kind": node.kind}
-        if node.category_ref is not None:
-            out["category_ref"] = node.category_ref
+        out = {k: v for k, v in _dump_record(node, _NODE).items() if v is not None}
         if node.children:
             out["children"] = [dump_node(c) for c in node.children]
         return out
 
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": dict(model.metadata),
-        "traits": [
-            {
-                "id": t.id,
-                "name": t.name,
-                "description": t.description,
-                "parameters": _dump_parameters(t.parameters),
-                "subtraits": [
-                    {
-                        "id": s.id,
-                        "name": s.name,
-                        "description": s.description,
-                        "parameters": _dump_parameters(s.parameters),
-                    }
-                    for s in t.subtraits
-                ],
-            }
-            for t in model.traits
-        ],
-        "channels": [
-            {
-                "id": ch.id,
-                "authority": ch.authority,
-                "name": ch.name,
-                "statement_path": list(ch.statement_path),
-                "description": ch.description,
-            }
-            for ch in model.channels
-        ],
-        "categories": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "description": c.description,
-                "own_parameters": _dump_parameters(c.own_parameters),
-                "group_path": list(c.group_path),
-                "cross_tags": sorted(c.cross_tags),
-                "channel_ref": c.channel_ref,
-            }
-            for c in model.categories
-        ],
-        "tables": [
-            {
-                "name": t.name,
-                "title": t.title,
-                "trait_columns": list(t.trait_columns),
-                "rows": [
-                    {"category": r.category_id, "marks": list(r.marks)}
-                    for r in t.rows
-                ],
-            }
-            for t in model.tables
-        ],
-    }
+    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "meta": dict(model.metadata)}
+    for key, record in _SECTIONS.items():
+        doc[key] = [_dump_record(item, record) for item in getattr(model, key)]
     if model.root_id is not None:
         doc["tree"] = dump_node(model.root_id)
     return doc
 
 
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
-    """Deterministic UTF-8 text such that parse(serialize(m)) == m."""
+    """Deterministic UTF-8 text such that parse(serialize(m)) == m. Like
+    decoding, json.dumps stops near 500 tree levels (RecursionError)."""
     doc = model_to_document(model)
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
@@ -416,7 +356,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     diags: list[Diagnostic] = []
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
-    for table in _parse_tables(extension, diags):
+    for table in _parse_list(extension, "tables", _TABLE, "", diags):
         if table.name not in by_name:
             tables.append(table)
             continue
@@ -443,9 +383,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     # Base and incoming categories both take their trait sets from the
     # merged tables, so they compare on their own content.
     marks = table_marks(tables)
-    new_traits = _parse_traits(extension, diags)
-    new_categories = _parse_categories(extension, marks, diags)
-    new_channels = _parse_channels(extension, diags)
+    new_traits = _parse_list(extension, "traits", _TRAIT, "", diags)
+    new_categories = _categories_from_marks(extension, marks, diags)
+    new_channels = _parse_list(extension, "channels", _CHANNEL, "", diags)
     if diags:
         raise IngestError(diags)
 

@@ -258,3 +258,25 @@ def test_markdown_table_escapes_pipes_in_cells(model):
     assert "Tax \\| levy" in lines[2] and "a\\|b" in lines[2] and "rate\\|base" in lines[0]
     pipes = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
     assert pipes == [pipes[0]] * len(lines)
+
+
+def test_markdown_table_writes_line_breaks_in_cells_as_br(model):
+    table = model.table("other-expenses")
+    cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
+    broken = dataclasses.replace(
+        model,
+        categories=[
+            dataclasses.replace(c, name="Tax\nlevy", cross_tags=c.cross_tags | {"a\r\nb", "c\rd"})
+            if c.id == cat_id else c
+            for c in model.categories
+        ],
+        traits=[
+            dataclasses.replace(t, name="rate\r\nbase") if t.id == trait_id else t
+            for t in model.traits
+        ],
+    )
+    text = export_table_markdown(broken, "other-expenses").text
+    lines = text.split("\n")[:-1]
+    assert "\r" not in text and len(lines) == len(table.rows) + 2
+    assert "| Tax<br>levy |" in lines[2] and "a<br>b, c<br>d" in lines[2]
+    assert "rate<br>base" in lines[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from polytax import ingest
 from polytax.enumeration import iter_tree
 from polytax.export import export_tree_text
+from polytax import model as M
 from polytax.model import models_equivalent
 
 from .strategies import taxonomy_models
@@ -363,3 +365,25 @@ def test_deep_tree_parses_validates_walks_and_exports():
     depths = [depth for _, depth in iter_tree(model)]
     assert depths == list(range(5001))
     assert export_tree_text(model).text.count("\n") == 5001
+
+
+# Model attributes that parsing fills but no field table dumps: a category's
+# implementable set comes from the table marks, a node's children from the
+# tree walk.
+PARSE_ONLY = {M.PolicyCategory: {"implementable_trait_ids"}, M.TaxonomyNode: {"children"}}
+RECORD_CLASSES = {
+    M.ParameterSpec, M.SubtraitDef, M.TraitDef, M.TransactionChannel,
+    M.PolicyCategory, M.CheckTable, M.TableRow, M.TaxonomyNode,
+}
+
+
+def test_field_tables_name_every_model_field():
+    """A model field added without a document key fails here instead of
+    being dropped silently on serialize."""
+    records = [v for v in vars(ingest).values() if isinstance(v, ingest._Record)]
+    assert {r.cls for r in records} == RECORD_CLASSES and len(records) == len(RECORD_CLASSES)
+    for record in records:
+        attrs = [attr for _, _, _, attr in record.fields] + sorted(PARSE_ONLY.get(record.cls, ()))
+        assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(record.cls))
+    top_level = {"nodes", "root_id", "metadata", *ingest._SECTIONS}
+    assert top_level == {f.name for f in dataclasses.fields(M.TaxonomyModel)}
