@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors.
+Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors;
+run_cli takes the same exit path as the polytax script, in this process.
 Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
 read or decoded is an E_SYNTAX error, and an --out file that cannot be
@@ -10,27 +11,16 @@ default input; POLYTAX_DATA or --input override it.
 from __future__ import annotations
 
 import functools
-import sys
 from typing import Optional
 
 import click
 
 from . import analytics, enumeration, export, ingest
-from .model import PolicyCategory, PolicyError, TaxonomyModel
-
-
-def _load_input(input_path: Optional[str]) -> TaxonomyModel:
-    """The model in input_path, or the bundled dataset; raises IngestError."""
-    if input_path is None:
-        return ingest.load_bundled_dataset()
-    model, diags = ingest.load_model_from_path(input_path)
-    if model is None or diags:
-        raise ingest.IngestError(diags)
-    return model
+from .model import PolicyCategory, PolicyError
 
 
 def _trait_matrix(input_path: Optional[str], null_mode: str) -> analytics.TraitMatrix:
-    return analytics.build_trait_matrix(_load_input(input_path), null_mode)
+    return analytics.build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -81,7 +71,7 @@ def main():
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def validate(file):
     """Validate a taxonomy-definition file."""
-    model = _load_input(file)
+    model = ingest.load_bundled_dataset(file)
     click.echo(
         f"OK: {len(model.traits)} traits, {len(model.categories)} categories, "
         f"{len(model.tables)} tables"
@@ -94,7 +84,7 @@ def validate(file):
 @out_option
 def tree(input_path, fmt, out):
     """Print the taxonomy tree."""
-    model = _load_input(input_path)
+    model = ingest.load_bundled_dataset(input_path)
     if fmt == "dot":
         artifact = export.export_tree_dot(model)
     else:
@@ -136,7 +126,8 @@ def filter_options(command):
 @filter_options
 def policies_list(input_path, flt, expand_subtraits):
     """List schemas, one category/trait[/subtrait] per line."""
-    schemas = enumeration.enumerate_schemas(_load_input(input_path), flt, expand_subtraits)
+    model = ingest.load_bundled_dataset(input_path)
+    schemas = enumeration.enumerate_schemas(model, flt, expand_subtraits)
     click.echo(export.export_schema_list(schemas).text, nl=False)
 
 
@@ -145,7 +136,7 @@ def policies_list(input_path, flt, expand_subtraits):
 @click.option("--by", default=None, type=click.Choice(["table", "category", "trait"]))
 def policies_count(input_path, flt, expand_subtraits, by):
     """Count schemas under a filter, or grouped counts with --by."""
-    model = _load_input(input_path)
+    model = ingest.load_bundled_dataset(input_path)
     if by is not None:
         counts = enumeration.count_checkmarks(model, by)
         for name in sorted(counts):
@@ -196,7 +187,7 @@ def mst(input_path, null_mode, fmt, out):
 @out_option
 def merge(base, ext, out):
     """Merge an extension document into a base taxonomy file."""
-    merged = ingest.merge_extension(_load_input(base), ingest.read_document(ext))
+    merged = ingest.merge_extension(ingest.load_bundled_dataset(base), ingest.read_document(ext))
     _write_out(ingest.serialize_taxonomy_document(merged), out)
 
 
@@ -205,7 +196,7 @@ def merge(base, ext, out):
 @click.argument("name")
 def show(input_path, name):
     """Look up a category or tree node by id or name."""
-    found = enumeration.lookup(_load_input(input_path), name)
+    found = enumeration.lookup(ingest.load_bundled_dataset(input_path), name)
     if isinstance(found, PolicyCategory):
         click.echo(f"category {found.id}: {found.name}")
         click.echo("group path: " + " > ".join(found.group_path))
@@ -217,19 +208,11 @@ def show(input_path, name):
 
 
 def run_cli(argv) -> int:
-    """Invoke the CLI programmatically; returns the exit code."""
+    """Run the CLI in this process as the polytax script does; returns the exit code."""
     try:
-        main.main(args=list(argv), standalone_mode=False)
-        return 0
+        main.main(args=list(argv))
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 2
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
+        return exc.code or 0
 
 
 if __name__ == "__main__":

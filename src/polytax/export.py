@@ -45,11 +45,14 @@ def _quote(text: str) -> str:
 
 
 def _slugs(labels: Iterable[str]) -> list[str]:
-    """One DOT identifier per label, made unique by appending underscores."""
+    """One DOT identifier per label, made unique by appending underscores;
+    a keyword or a slug that starts with a digit gets a leading underscore."""
     used: set[str] = set()
     out = []
     for label in labels:
         slug = slugify(label)
+        if slug in ("node", "edge", "graph", "digraph", "subgraph", "strict") or slug[0].isdigit():
+            slug = "_" + slug
         while slug in used:
             slug += "_"
         used.add(slug)

@@ -387,7 +387,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     new_categories = _categories_from_marks(extension, marks, diags)
     new_channels = _parse_list(extension, "channels", _CHANNEL, "", diags)
     if diags:
-        raise IngestError(diags)
+        raise IngestError(sorted(diags))
 
     conflicts: list[Diagnostic] = []
 
@@ -411,7 +411,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
         metadata=dict(base.metadata),
     )
     if conflicts:
-        raise IngestError(conflicts)
+        raise IngestError(sorted(conflicts))
     problems = validate_model(merged)
     if problems:
         raise IngestError(problems)
@@ -429,11 +429,12 @@ def bundled_dataset_text() -> str:
     )
 
 
-def load_bundled_dataset() -> TaxonomyModel:
-    """Load and validate the shipped dataset, or the file POLYTAX_DATA names."""
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        model, diags = load_model_from_path(override)
+def load_bundled_dataset(path: Optional[str] = None) -> TaxonomyModel:
+    """The model in the file at path, else in the file POLYTAX_DATA names,
+    else the shipped dataset; raises IngestError unless it is clean."""
+    path = path or os.environ.get(DATA_ENV_VAR)
+    if path:
+        model, diags = load_model_from_path(path)
     else:
         model, diags = parse_taxonomy_document(bundled_dataset_text())
     if model is None or diags:

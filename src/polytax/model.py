@@ -11,9 +11,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-PARAMETER_KINDS = frozenset(
-    {"rate", "amount", "ladder", "period", "condition", "reference", "bounds"}
-)
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _text(value: Any) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
+def _ladder(value: Any) -> bool:
+    """Non-empty (threshold, rate) number pairs with strictly rising thresholds."""
+    return (
+        isinstance(value, (list, tuple)) and len(value) > 0
+        and all(isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_number, b))
+                for b in value)
+        and all(a[0] < b[0] for a, b in zip(value, value[1:]))
+    )
+
+
+# Each parameter kind and the check a value bound to it must pass.
+_BINDING_CHECKS = {
+    "rate": _number,
+    "amount": _number,
+    "ladder": _ladder,
+    "period": lambda v: _number(v) or (isinstance(v, str) and v != ""),
+    "condition": _text,
+    "reference": _text,
+    "bounds": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 2
+        and all(x is None or _number(x) for x in v)
+    ),
+}
+
+PARAMETER_KINDS = frozenset(_BINDING_CHECKS)
 
 NODE_KINDS = frozenset({"group", "category", "standalone-policy"})
 
@@ -408,58 +439,6 @@ def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
 # Atomic-policy instantiation
 # ---------------------------------------------------------------------------
 
-def _binding_ok(kind: str, value: Any) -> bool:
-    if kind in ("rate", "amount"):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "period":
-        return (
-            isinstance(value, str) and bool(value)
-        ) or (isinstance(value, (int, float)) and not isinstance(value, bool))
-    if kind in ("condition", "reference"):
-        return isinstance(value, str) and bool(value.strip())
-    if kind == "ladder":
-        if not isinstance(value, (list, tuple)) or len(value) < 1:
-            return False
-        thresholds = []
-        for band in value:
-            if not isinstance(band, (list, tuple)) or len(band) != 2:
-                return False
-            threshold, rate = band
-            for num in (threshold, rate):
-                if not isinstance(num, (int, float)) or isinstance(num, bool):
-                    return False
-            thresholds.append(threshold)
-        return all(a < b for a, b in zip(thresholds, thresholds[1:]))
-    if kind == "bounds":
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            return False
-        return all(
-            v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
-            for v in value
-        )
-    return False
-
-
-def required_parameters(
-    model: TaxonomyModel, schema: AtomicPolicySchema
-) -> tuple[ParameterSpec, ...]:
-    """Category own parameters plus the selected trait/subtrait parameters."""
-    category = model.category(schema.category_id)
-    trait = model.trait(schema.trait_id)
-    if category is None or trait is None:
-        raise PolicyError("E_NOT_FOUND", f"unknown category or trait in {schema}")
-    params = list(category.own_parameters) + list(trait.parameters)
-    if schema.subtrait_id is not None:
-        sub = trait.subtrait(schema.subtrait_id)
-        if sub is None:
-            raise PolicyError(
-                "E_EXCLUSIVITY",
-                f"{schema.subtrait_id!r} is not a subtrait of {trait.id!r}",
-            )
-        params.extend(sub.parameters)
-    return tuple(params)
-
-
 def instantiate_atomic_policy(
     model: TaxonomyModel,
     category_id: str,
@@ -490,29 +469,34 @@ def instantiate_atomic_policy(
             "E_EXCLUSIVITY",
             f"trait {trait_id!r} is categorical; exactly one subtrait is required",
         )
-    if not trait.subtraits and subtrait_id is not None:
-        raise PolicyError(
-            "E_EXCLUSIVITY", f"trait {trait_id!r} has no subtraits"
-        )
 
-    schema = AtomicPolicySchema(category_id, trait_id, subtrait_id)
-    params = required_parameters(model, schema)
+    params = (*category.own_parameters, *trait.parameters)
+    if subtrait_id is not None:
+        if not trait.subtraits:
+            raise PolicyError("E_EXCLUSIVITY", f"trait {trait_id!r} has no subtraits")
+        sub = trait.subtrait(subtrait_id)
+        if sub is None:
+            raise PolicyError(
+                "E_EXCLUSIVITY", f"{subtrait_id!r} is not a subtrait of {trait_id!r}"
+            )
+        params += sub.parameters
 
-    required = {p.name: p.kind for p in params}
-    missing = sorted(set(required) - set(bindings))
-    extra = sorted(set(bindings) - set(required))
+    names = {p.name for p in params}
+    missing = sorted(names - set(bindings))
+    extra = sorted(set(bindings) - names)
     if missing or extra:
         raise PolicyError(
             "E_BINDING",
             f"missing parameters {missing}, unexpected parameters {extra}",
         )
-    for name, kind in required.items():
-        if not _binding_ok(kind, bindings[name]):
+    # A value must pass the check of every parameter that bears its name.
+    for p in params:
+        value = bindings[p.name]
+        if p.kind not in PARAMETER_KINDS or not _BINDING_CHECKS[p.kind](value):
             raise PolicyError(
-                "E_BINDING",
-                f"parameter {name!r} is not a valid {kind!r} value: {bindings[name]!r}",
+                "E_BINDING", f"parameter {p.name!r} is not a valid {p.kind!r} value: {value!r}"
             )
-    return AtomicPolicy(schema=schema, bindings=bindings)
+    return AtomicPolicy(AtomicPolicySchema(category_id, trait_id, subtrait_id), bindings)
 
 
 __all__ = [
@@ -538,6 +522,5 @@ __all__ = [
     "table_marks",
     "materialize_trait_sets",
     "validate_model",
-    "required_parameters",
     "instantiate_atomic_policy",
 ]

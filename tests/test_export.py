@@ -27,6 +27,7 @@ from polytax.export import (
     export_tree_text,
     slugify,
 )
+from polytax.model import TaxonomyModel, TaxonomyNode
 
 
 # The per-cell writer that export_matrix_csv replaced, kept as its byte oracle.
@@ -92,6 +93,33 @@ def test_mst_dot_degenerate_single_node():
     dot = export_mst_dot(mst).text
     assert "solo" in dot
     assert " -- " not in dot
+
+
+DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+DOT_STATEMENT = re.compile(r"  (\S+)(?: (?:->|--) (\S+?))?(?:;| \[)")
+
+
+def dot_identifiers(text):
+    ids = []
+    for line in text.splitlines()[2:-1]:
+        match = DOT_STATEMENT.match(line)
+        assert match, line
+        ids.extend(i for i in match.groups() if i is not None)
+    return ids
+
+
+def test_dot_identifiers_are_never_keywords_or_numerals():
+    labels = ["Node", "税", "2nd Tax", "Edge", "GRAPH", "Strict", "subgraph", "Di-graph", "3"]
+    nodes = [TaxonomyNode("root", "Economic Policy", "group", tuple(labels))]
+    nodes += [TaxonomyNode(label, label, "group") for label in labels]
+    mst = kruskal_mst(DistanceMatrix(tuple(labels), np.ones((len(labels),) * 2)))
+    for text in (export_tree_dot(TaxonomyModel(nodes=nodes, root_id="root")).text,
+                 export_mst_dot(mst).text):
+        ids = dot_identifiers(text)
+        assert len(set(ids)) == len(labels) + text.startswith("digraph")
+        for identifier in ids:
+            assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", identifier), identifier
+            assert identifier.lower() not in DOT_KEYWORDS, identifier
 
 
 def test_collapse_mode_mst_dot_has_null_policy_node(model):

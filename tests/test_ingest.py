@@ -193,6 +193,32 @@ def test_merge_conflict_path_names_the_section(model):
     )
 
 
+def test_merge_diagnostics_are_sorted(model):
+    # Parse errors in three sections, which the merge reads tables first.
+    bad_parse = {
+        "tables": ["not a table"],
+        "traits": [{"id": "new-trait", "description": 1, "parameters": "x"}],
+        "categories": [{"id": "new-category", "name": 2}],
+    }
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.merge_extension(model, bad_parse)
+    paths = [d.path for d in exc.value.diagnostics]
+    assert paths == sorted(paths) == [
+        "/categories/0/name", "/tables/0", "/traits/0/description", "/traits/0/parameters",
+    ]
+    # Conflicts in two sections, which the merge compares traits first.
+    doc = ingest.model_to_document(model)
+    conflicting = {
+        "traits": [dict(doc["traits"][0], name="Renamed")],
+        "categories": [dict(doc["categories"][0], name="Renamed")],
+    }
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.merge_extension(model, conflicting)
+    assert [d.path for d in exc.value.diagnostics] == [
+        f"/categories/{doc['categories'][0]['id']}", f"/traits/{doc['traits'][0]['id']}",
+    ]
+
+
 def test_merge_empty_extension_is_identity(model):
     assert ingest.merge_extension(model, {}) == model
 

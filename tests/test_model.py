@@ -334,6 +334,87 @@ def test_ladder_bindings_checked(model):
         assert exc.value.code == "E_BINDING"
 
 
+def one_schema_model(*parameters: ParameterSpec, trait_parameters=()) -> TaxonomyModel:
+    """Category "c" with the given own parameters, checkmarked for trait "t"."""
+    return TaxonomyModel(
+        traits=(TraitDef(id="t", name="T", parameters=tuple(trait_parameters)),),
+        categories=(
+            PolicyCategory(
+                id="c", name="C", own_parameters=parameters,
+                implementable_trait_ids=frozenset({"t"}),
+            ),
+        ),
+    )
+
+
+NAN = float("nan")
+# Each kind (and one unknown kind) with values a binding accepts and rejects.
+KIND_CASES = {
+    "rate": (
+        [0, 1, -2, 0.2, NAN, float("inf")],
+        [True, False, "0.2", "", None, [], (0.2,)],
+    ),
+    "amount": ([0, 1_000_000, 12.5, NAN], [True, "100", None, [], {}]),
+    "period": (
+        ["monthly", " ", 12, 0.5, NAN],
+        ["", True, False, None, [], ("monthly",)],
+    ),
+    "condition": (["resident", " x "], ["", " ", "\t\n", 1, True, None, []]),
+    "reference": (["section 12"], ["", "   ", 0, False, None, ["a"]]),
+    "ladder": (
+        [
+            [(0, 0.1)],
+            [[0, 0.1], [10, 0.2]],
+            ((0, 0.1), (10.5, 0.2), (50, NAN)),
+        ],
+        [
+            [], (), "ladder", None, 0.1,
+            [(10, 0.2), (10, 0.3)],  # thresholds must rise strictly
+            [(50, 0.2), (10, 0.3)],
+            [(NAN, 0.1), (1, 0.2)],
+            [(0, 0.1, 2)], [(0,)], [0.1], ["0 0.1"],
+            [(True, 0.1)], [(0, False)], [("0", 0.1)], [(0, None)],
+        ],
+    ),
+    "bounds": (
+        [(0, 1), [None, 5], [0.5, None], (None, None), (5, 1), [NAN, 1]],
+        [[], [1], [None], (1, 2, 3), "0,1", None, [True, 1], [1, "2"], 1],
+    ),
+    "percent": ([], [0.2, 1, "x", [(0, 0.1)], (0, 1), None]),
+}
+KIND_BINDINGS = [
+    pytest.param(kind, value, accepted, id=f"{kind}-{'ok' if accepted else 'bad'}-{i}")
+    for kind, (good, bad) in KIND_CASES.items()
+    for accepted, values in ((True, good), (False, bad))
+    for i, value in enumerate(values)
+]
+
+
+@pytest.mark.parametrize("kind, value, accepted", KIND_BINDINGS)
+def test_binding_accepts_each_kinds_values(kind, value, accepted):
+    m = one_schema_model(ParameterSpec("x", kind))
+    if accepted:
+        assert instantiate_atomic_policy(m, "c", "t", None, {"x": value}).bindings == {"x": value}
+    else:
+        with pytest.raises(PolicyError) as exc:
+            instantiate_atomic_policy(m, "c", "t", None, {"x": value})
+        assert exc.value.code == "E_BINDING"
+        assert f"parameter 'x' is not a valid {kind!r} value" in str(exc.value)
+
+
+def test_same_named_parameters_each_check_the_value():
+    # The category's x is a rate and the trait's x a condition: a value must
+    # be both, and validation does not flag the shared name across levels.
+    m = one_schema_model(
+        ParameterSpec("x", "rate"), trait_parameters=(ParameterSpec("x", "condition"),)
+    )
+    assert validate_model(m) == []
+    for value in ("not a rate", 0.2):
+        with pytest.raises(PolicyError) as exc:
+            instantiate_atomic_policy(m, "c", "t", None, {"x": value})
+        assert exc.value.code == "E_BINDING"
+
+
 def test_checkmark_sweep_matches_tables(model):
     """instantiate succeeds iff the (category, trait) pair has a checkmark."""
     for category in model.categories:
