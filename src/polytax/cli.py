@@ -135,14 +135,14 @@ def policies_list(input_path, flt, expand_subtraits):
 @filter_options
 @click.option("--by", default=None, type=click.Choice(["table", "category", "trait"]))
 def policies_count(input_path, flt, expand_subtraits, by):
-    """Count schemas under a filter, or grouped counts with --by."""
+    """Count schemas under a filter, in total or grouped with --by."""
     model = ingest.load_bundled_dataset(input_path)
-    if by is not None:
-        counts = enumeration.count_checkmarks(model, by)
+    counts = enumeration.count_checkmarks(model, by or "table", flt, expand_subtraits)
+    if by is None:
+        click.echo(str(sum(counts.values())))
+    else:
         for name in sorted(counts):
             click.echo(f"{name}: {counts[name]}")
-        return
-    click.echo(str(len(enumeration.enumerate_schemas(model, flt, expand_subtraits))))
 
 
 def _matrix_command(name: str, function: Optional[str], doc: str) -> None:

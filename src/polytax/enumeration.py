@@ -2,12 +2,14 @@
 
 Every checkmark is one implementable (category, trait) pair. Order is
 deterministic: table order, then row order, then trait-column order, and
-subtrait expansion follows subtrait definition order.
+subtrait expansion follows subtrait definition order. Listing and
+counting read one walk, so a filtered count is the length of the list.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .model import (
     AtomicPolicySchema,
@@ -15,6 +17,8 @@ from .model import (
     PolicyError,
     TaxonomyModel,
     TaxonomyNode,
+    build_tree,
+    iter_tree,
 )
 
 
@@ -45,14 +49,40 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
             )
 
 
-def _row_passes(category: PolicyCategory, flt: EnumerationFilter) -> bool:
-    if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
-        return False
-    if flt.group_prefix is not None:
-        prefix = tuple(flt.group_prefix)
-        if category.group_path[: len(prefix)] != prefix:
-            return False
-    return True
+_GROUP_FIELD = {"table": 0, "category": 1, "trait": 2}  # index into a _checkmarks tuple
+
+
+def _checkmarks(
+    model: TaxonomyModel, flt: Optional[EnumerationFilter], expand_subtraits: bool
+) -> Iterator[tuple[str, str, str, Optional[str]]]:
+    """Resolve the filter, then yield (table name, category id, trait id,
+    subtrait id or None) for each checkmark that survives it, in document
+    order; with expand_subtraits, one per subtrait of its trait."""
+    flt = flt or EnumerationFilter()
+    _resolve_filter(model, flt)
+    prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
+    for table in model.tables:
+        if flt.table is not None and table.name != flt.table:
+            continue
+        for row in table.rows:
+            category = model.category(row.category_id)
+            if category is None:
+                continue
+            if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
+                continue
+            if prefix is not None and category.group_path[: len(prefix)] != prefix:
+                continue
+            for trait_id in table.trait_columns:
+                if trait_id not in row.marks:
+                    continue
+                if flt.trait_id is not None and trait_id != flt.trait_id:
+                    continue
+                trait = model.trait(trait_id) if expand_subtraits else None
+                if trait is not None and trait.subtraits:
+                    for sub in trait.subtraits:
+                        yield table.name, row.category_id, trait_id, sub.id
+                else:
+                    yield table.name, row.category_id, trait_id, None
 
 
 def enumerate_schemas(
@@ -65,70 +95,22 @@ def enumerate_schemas(
     With expand_subtraits, a checkmark whose trait has k subtraits yields
     k schemas (one per subtrait); otherwise one schema per checkmark.
     """
-    flt = flt or EnumerationFilter()
-    _resolve_filter(model, flt)
-    out: list[AtomicPolicySchema] = []
-    for table in model.tables:
-        if flt.table is not None and table.name != flt.table:
-            continue
-        for row in table.rows:
-            category = model.category(row.category_id)
-            if category is None or not _row_passes(category, flt):
-                continue
-            for trait_id in table.trait_columns:
-                if trait_id not in row.marks:
-                    continue
-                if flt.trait_id is not None and trait_id != flt.trait_id:
-                    continue
-                trait = model.trait(trait_id)
-                if expand_subtraits and trait is not None and trait.subtraits:
-                    for sub in trait.subtraits:
-                        out.append(
-                            AtomicPolicySchema(row.category_id, trait_id, sub.id)
-                        )
-                else:
-                    out.append(AtomicPolicySchema(row.category_id, trait_id))
-    return out
+    marks = _checkmarks(model, flt, expand_subtraits)
+    return [AtomicPolicySchema(category, trait, sub) for _, category, trait, sub in marks]
 
 
-def count_checkmarks(model: TaxonomyModel, by: str = "table") -> dict[str, int]:
-    """Checkmark counts grouped by table, category, or trait."""
-    if by not in ("table", "category", "trait"):
+def count_checkmarks(
+    model: TaxonomyModel,
+    by: str = "table",
+    flt: Optional[EnumerationFilter] = None,
+    expand_subtraits: bool = False,
+) -> dict[str, int]:
+    """The schemas enumerate_schemas returns for the same filter and
+    expansion, counted by table, category, or trait."""
+    if by not in _GROUP_FIELD:
         raise PolicyError("E_BAD_FILTER", f"cannot group by {by!r}")
-    counts: dict[str, int] = {}
-    for table in model.tables:
-        for row in table.rows:
-            marks = [m for m in table.trait_columns if m in row.marks]
-            if by == "table":
-                counts[table.name] = counts.get(table.name, 0) + len(marks)
-            elif by == "category":
-                counts[row.category_id] = counts.get(row.category_id, 0) + len(marks)
-            else:
-                for mark in marks:
-                    counts[mark] = counts.get(mark, 0) + 1
-    return counts
-
-
-def build_tree(model: TaxonomyModel) -> TaxonomyNode:
-    """Return the taxonomy root node."""
-    root = model.tree
-    if root is None:
-        raise PolicyError("E_NOT_FOUND", "model has no taxonomy tree")
-    return root
-
-
-def iter_tree(model: TaxonomyModel):
-    """Depth-first (node, depth) traversal in child order, with an explicit
-    stack; each node id is visited once, so a cyclic model cannot loop."""
-    seen = set()
-    stack = [(build_tree(model), 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.id not in seen:
-            seen.add(node.id)
-            yield node, depth
-            children = (model.node(c) for c in reversed(node.children))
-            stack.extend((child, depth + 1) for child in children if child is not None)
+    group = _GROUP_FIELD[by]
+    return Counter(mark[group] for mark in _checkmarks(model, flt, expand_subtraits))
 
 
 def tree_leaf_category_ids(model: TaxonomyModel) -> list[str]:

@@ -19,20 +19,14 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
-from .enumeration import iter_tree
-from .model import TaxonomyModel
+from .model import PolicyError, TaxonomyModel, iter_tree
 
 Matrix = Union[TraitMatrix, CorrelationMatrix, DistanceMatrix]
 
 
 @dataclass(frozen=True)
 class ExportArtifact:
-    kind: str
     text: str
-
-    @property
-    def data(self) -> bytes:
-        return self.text.encode("utf-8")
 
 
 def slugify(label: str) -> str:
@@ -73,7 +67,7 @@ def export_tree_dot(model: TaxonomyModel) -> ExportArtifact:
         for child_id in node.children:
             lines.append(f"  {slugs[node.id]} -> {slugs[child_id]};")
     lines.append("}")
-    return ExportArtifact("dot-tree", "\n".join(lines) + "\n")
+    return ExportArtifact("\n".join(lines) + "\n")
 
 
 def export_tree_text(model: TaxonomyModel) -> ExportArtifact:
@@ -82,7 +76,7 @@ def export_tree_text(model: TaxonomyModel) -> ExportArtifact:
         f"{'  ' * depth}{node.label} [{node.kind}]"
         for node, depth in iter_tree(model)
     ]
-    return ExportArtifact("text-tree", "\n".join(lines) + "\n")
+    return ExportArtifact("\n".join(lines) + "\n")
 
 
 def export_mst_dot(mst: MstResult) -> ExportArtifact:
@@ -94,7 +88,7 @@ def export_mst_dot(mst: MstResult) -> ExportArtifact:
     for i, j, weight in mst.edges:
         lines.append(f"  {slugs[i]} -- {slugs[j]} [label={_quote(f'{weight:.6f}')}];")
     lines.append("}")
-    return ExportArtifact("dot-mst", "\n".join(lines) + "\n")
+    return ExportArtifact("\n".join(lines) + "\n")
 
 
 class _CellText(dict):
@@ -142,9 +136,8 @@ def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
     formatted once.
     """
     if isinstance(matrix, TraitMatrix):
-        kind, rows, cols = "csv-matrix", matrix.row_labels, matrix.col_labels
+        rows, cols = matrix.row_labels, matrix.col_labels
     else:
-        kind = "csv-correlation" if isinstance(matrix, CorrelationMatrix) else "csv-distance"
         rows = cols = matrix.labels
 
     floats = matrix.cells.dtype.kind == "f"
@@ -156,7 +149,7 @@ def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
     for label, row in zip(rows, matrix.cells):
         keys = row.astype("f8", copy=False).view("u8").tolist() if floats else row.tolist()
         buf.write(_csv_line([_csv_field(label), *map(text.__getitem__, keys)]) + "\n")
-    return ExportArtifact(kind, buf.getvalue())
+    return ExportArtifact(buf.getvalue())
 
 
 def export_pruned_csv(mst: MstResult) -> ExportArtifact:
@@ -173,7 +166,7 @@ def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifa
     """Markdown pipe table mirroring one checkmark table, plus a tags column."""
     table = model.table(table_name)
     if table is None:
-        raise KeyError(table_name)
+        raise PolicyError("E_NOT_FOUND", f"unknown table {table_name!r}")
     trait_names = [
         _md_cell(model.trait(t).name if model.trait(t) else t) for t in table.trait_columns
     ]
@@ -189,7 +182,7 @@ def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifa
         ]
         tags = ", ".join(sorted(category.cross_tags)) if category else ""
         lines.append("| " + " | ".join([_md_cell(name)] + marks + [_md_cell(tags)]) + " |")
-    return ExportArtifact("markdown-table", "\n".join(lines) + "\n")
+    return ExportArtifact("\n".join(lines) + "\n")
 
 
 def export_schema_list(schemas) -> ExportArtifact:
@@ -200,7 +193,7 @@ def export_schema_list(schemas) -> ExportArtifact:
         if schema.subtrait_id is not None:
             parts.append(schema.subtrait_id)
         lines.append("/".join(parts))
-    return ExportArtifact("schema-list", "\n".join(lines) + ("\n" if lines else ""))
+    return ExportArtifact("\n".join(lines) + ("\n" if lines else ""))
 
 
 __all__ = [

@@ -30,6 +30,7 @@ from .model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
+    iter_tree,
     materialize_trait_sets,
     table_marks,
     validate_model,
@@ -315,21 +316,21 @@ def _dump_record(obj: Any, record: _Record) -> dict:
 
 
 def model_to_document(model: TaxonomyModel) -> dict:
-    """Canonical document form: stable key order, document list order. A
-    node's fields that are None and its empty children are left out."""
-
-    def dump_node(node_id: str) -> dict:
-        node = model.node(node_id)
-        out = {k: v for k, v in _dump_record(node, _NODE).items() if v is not None}
-        if node.children:
-            out["children"] = [dump_node(c) for c in node.children]
-        return out
-
+    """Canonical document form: stable key order, document list order. Each
+    node iter_tree visits is dumped once, as a child of the last one a level
+    up; a node's fields that are None and its empty children are left out."""
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "meta": dict(model.metadata)}
     for key, record in _SECTIONS.items():
         doc[key] = [_dump_record(item, record) for item in getattr(model, key)]
-    if model.root_id is not None:
-        doc["tree"] = dump_node(model.root_id)
+    if model.tree is not None:
+        levels: list[dict] = []
+        for node, depth in iter_tree(model):
+            out = {k: v for k, v in _dump_record(node, _NODE).items() if v is not None}
+            if depth:
+                levels[depth - 1].setdefault("children", []).append(out)
+            del levels[depth:]
+            levels.append(out)
+        doc["tree"] = levels[0]
     return doc
 
 

@@ -150,11 +150,11 @@ def test_criterion_6_determinism(model):
         assert diags == []
         assert again == model
         assert ingest.serialize_taxonomy_document(again) == text
-        assert export_tree_dot(model).data == export_tree_dot(model).data
+        assert export_tree_dot(model).text == export_tree_dot(model).text
         tm = build_trait_matrix(model)
-        assert export_matrix_csv(tm).data == export_matrix_csv(tm).data
+        assert export_matrix_csv(tm).text == export_matrix_csv(tm).text
         mst = kruskal_mst(euclidean_distance(tm))
-        assert export_mst_dot(mst).data == export_mst_dot(mst).data
+        assert export_mst_dot(mst).text == export_mst_dot(mst).text
 
 
 def test_criterion_7_extendability(model):

@@ -56,6 +56,17 @@ def test_policies_count_by_table(runner):
     assert counts["financial-markets"] == "6"
 
 
+def test_policies_count_by_honours_the_filter(runner):
+    argv = ["policies", "count", "--by", "table", "--table", "open-market-operations"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.output == "open-market-operations: 10\n"
+    expanded = runner.invoke(main, ["policies", "count", "--by", "trait", "--expand-subtraits"])
+    listed = runner.invoke(main, ["policies", "list", "--expand-subtraits"])
+    total = sum(int(line.split(": ")[1]) for line in expanded.output.splitlines())
+    assert total == len(listed.output.splitlines())
+
+
 def test_policies_list_matches_count(runner):
     listed = runner.invoke(main, ["policies", "list", "--table", "debt-and-credit"])
     counted = runner.invoke(main, ["policies", "count", "--table", "debt-and-credit"])
@@ -192,6 +203,9 @@ BAD_INPUTS = {
         ["mst", "--null-mode", "exclude", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"
     ),
     "tree-without-tree": (["tree", "--input", "@one-category"], {}, 1, "E_NOT_FOUND"),
+    "count-by-bad-table": (
+        ["policies", "count", "--by", "table", "--table", "nosuch"], {}, 1, "E_BAD_FILTER"
+    ),
     "count-bad-data": (["policies", "count"], {ingest.DATA_ENV_VAR: "@not-json"}, 1, "E_SYNTAX"),
     "matrix-bad-data": (["matrix"], {ingest.DATA_ENV_VAR: "@not-json"}, 1, "E_SYNTAX"),
     "count-missing-data": (

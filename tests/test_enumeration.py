@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from polytax import ingest
 from polytax.enumeration import (
@@ -11,6 +12,8 @@ from polytax.enumeration import (
     tree_leaf_category_ids,
 )
 from polytax.model import PolicyError
+
+from .strategies import taxonomy_models
 
 
 def test_income_tax_table_has_37_schemas(model):
@@ -37,6 +40,44 @@ def test_trade_tagged_expense_rows(model):
 def test_total_equals_sum_of_table_counts(model):
     by_table = count_checkmarks(model, "table")
     assert len(enumerate_schemas(model)) == sum(by_table.values())
+
+
+def filters_of(model):
+    """No filter, then one filter for each value each filter field can take."""
+    yield None
+    yield from (EnumerationFilter(table=t.name) for t in model.tables)
+    yield from (EnumerationFilter(trait_id=t.id) for t in model.traits)
+    tags = set().union(*(c.cross_tags for c in model.categories))
+    yield from (EnumerationFilter(cross_tag=tag) for tag in sorted(tags))
+    prefixes = {
+        c.group_path[:i] for c in model.categories for i in range(1, len(c.group_path) + 1)
+    }
+    yield from (EnumerationFilter(group_prefix=p) for p in sorted(prefixes))
+
+
+def assert_counts_sum_to_schemas(model):
+    for flt in filters_of(model):
+        for expand in (False, True):
+            schemas = enumerate_schemas(model, flt, expand)
+            for by in ("table", "category", "trait"):
+                counts = count_checkmarks(model, by, flt, expand)
+                assert sum(counts.values()) == len(schemas), (flt, expand, by)
+
+
+def test_grouped_counts_sum_to_filtered_schemas(model):
+    assert_counts_sum_to_schemas(model)
+
+
+@settings(max_examples=50, deadline=None)
+@given(taxonomy_models())
+def test_grouped_counts_sum_to_filtered_schemas_property(m):
+    assert_counts_sum_to_schemas(m)
+
+
+def test_grouped_counts_follow_the_filter(model):
+    flt = EnumerationFilter(table="income-tax", trait_id="tax-base")
+    by_category = count_checkmarks(model, "category", flt)
+    assert by_category == {s.category_id: 1 for s in enumerate_schemas(model, flt)}
 
 
 def test_count_by_table_entry(model):
@@ -93,9 +134,10 @@ def test_bad_filter_values(model):
         EnumerationFilter(cross_tag="no-such-tag"),
         EnumerationFilter(group_prefix=("Elsewhere",)),
     ):
-        with pytest.raises(PolicyError) as exc:
-            enumerate_schemas(model, flt)
-        assert exc.value.code == "E_BAD_FILTER"
+        for run in (enumerate_schemas, lambda m, f: count_checkmarks(m, "trait", f)):
+            with pytest.raises(PolicyError) as exc:
+                run(model, flt)
+            assert exc.value.code == "E_BAD_FILTER"
 
 
 def test_deterministic_order(model):

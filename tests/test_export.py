@@ -27,7 +27,7 @@ from polytax.export import (
     export_tree_text,
     slugify,
 )
-from polytax.model import TaxonomyModel, TaxonomyNode
+from polytax.model import PolicyError, TaxonomyModel, TaxonomyNode
 
 
 # The per-cell writer that export_matrix_csv replaced, kept as its byte oracle.
@@ -208,6 +208,12 @@ def test_markdown_table_mirrors_rows(model):
     assert len(lines) == 2 + len(model.table("other-expenses").rows)
     yellow = [l for l in lines if "international-trade" in l]
     assert len(yellow) == 2
+
+
+def test_markdown_table_unknown_table_is_not_found(model):
+    with pytest.raises(PolicyError) as exc:
+        export_table_markdown(model, "no-such-table")
+    assert exc.value.code == "E_NOT_FOUND"
 
 
 def test_schema_list_lines(model):

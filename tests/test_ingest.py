@@ -393,6 +393,26 @@ def test_deep_tree_parses_validates_walks_and_exports():
     assert export_tree_text(model).text.count("\n") == 5001
 
 
+def test_cyclic_tree_serializes_each_node_once():
+    # The inner "a" repeats the root's id, so the parsed "b" lists "a" as a child.
+    doc = {"tree": {"id": "a", "children": [{"id": "b", "children": [{"id": "a"}]}]}}
+    cyclic, _ = ingest.parse_document_dict(doc)
+    tree = json.loads(ingest.serialize_taxonomy_document(cyclic))["tree"]
+    assert tree == {"id": "a", "label": "a", "kind": "group",
+                    "children": [{"id": "b", "label": "b", "kind": "group"}]}
+
+
+def test_invalid_tree_serializes_resolvable_children_once():
+    model = M.TaxonomyModel(
+        nodes=(M.TaxonomyNode("r", "R", "group", ("x", "missing", "x")),
+               M.TaxonomyNode("x", "X", "group")),
+        root_id="r",
+    )
+    tree = ingest.model_to_document(model)["tree"]
+    assert tree == {"id": "r", "label": "R", "kind": "group",
+                    "children": [{"id": "x", "label": "X", "kind": "group"}]}
+
+
 # Model attributes that parsing fills but no field table dumps: a category's
 # implementable set comes from the table marks, a node's children from the
 # tree walk.

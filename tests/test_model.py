@@ -348,16 +348,18 @@ def one_schema_model(*parameters: ParameterSpec, trait_parameters=()) -> Taxonom
 
 
 NAN = float("nan")
+INF = float("inf")
+HUGE = 10**400  # an int beyond the float range is still a finite number
 # Each kind (and one unknown kind) with values a binding accepts and rejects.
 KIND_CASES = {
     "rate": (
-        [0, 1, -2, 0.2, NAN, float("inf")],
-        [True, False, "0.2", "", None, [], (0.2,)],
+        [0, 1, -2, 0.2, HUGE, -1e308],
+        [True, False, "0.2", "", None, [], (0.2,), NAN, INF, -INF],
     ),
-    "amount": ([0, 1_000_000, 12.5, NAN], [True, "100", None, [], {}]),
+    "amount": ([0, 1_000_000, 12.5, HUGE], [True, "100", None, [], {}, NAN, INF]),
     "period": (
-        ["monthly", " ", 12, 0.5, NAN],
-        ["", True, False, None, [], ("monthly",)],
+        ["monthly", " ", 12, 0.5, HUGE],
+        ["", True, False, None, [], ("monthly",), NAN, -INF],
     ),
     "condition": (["resident", " x "], ["", " ", "\t\n", 1, True, None, []]),
     "reference": (["section 12"], ["", "   ", 0, False, None, ["a"]]),
@@ -365,7 +367,7 @@ KIND_CASES = {
         [
             [(0, 0.1)],
             [[0, 0.1], [10, 0.2]],
-            ((0, 0.1), (10.5, 0.2), (50, NAN)),
+            ((0, 0.1), (10.5, 0.2), (HUGE, 0.5)),
         ],
         [
             [], (), "ladder", None, 0.1,
@@ -374,11 +376,14 @@ KIND_CASES = {
             [(NAN, 0.1), (1, 0.2)],
             [(0, 0.1, 2)], [(0,)], [0.1], ["0 0.1"],
             [(True, 0.1)], [(0, False)], [("0", 0.1)], [(0, None)],
+            ((0, 0.1), (10.5, 0.2), (50, NAN)),
+            [(0, 0.1), (INF, 0.2)],
         ],
     ),
     "bounds": (
-        [(0, 1), [None, 5], [0.5, None], (None, None), (5, 1), [NAN, 1]],
-        [[], [1], [None], (1, 2, 3), "0,1", None, [True, 1], [1, "2"], 1],
+        [(0, 1), [None, 5], [0.5, None], (None, None), (1, 1), [-1, HUGE]],
+        [[], [1], [None], (1, 2, 3), "0,1", None, [True, 1], [1, "2"], 1,
+         (5, 1), [NAN, 1], [0, INF], (None, NAN)],
     ),
     "percent": ([], [0.2, 1, "x", [(0, 0.1)], (0, 1), None]),
 }
