@@ -100,7 +100,7 @@ def build_trait_matrix(model: TaxonomyModel, null_mode: str = "include") -> Trai
     saw_null = False
     for category in model.categories:
         cells = np.zeros(len(col_labels), dtype=bool)
-        for trait_id in category.implementable_trait_ids:
+        for trait_id in model.implementable_trait_ids(category.id):
             if trait_id in col_index:
                 cells[col_index[trait_id]] = True
         if not cells.any():
@@ -196,7 +196,7 @@ def kruskal_mst(dist: DistanceMatrix) -> MstResult:
 
 
 def trait_less_category_ids(model: TaxonomyModel) -> list[str]:
-    return [c.id for c in model.categories if not c.implementable_trait_ids]
+    return [c.id for c in model.categories if not model.implementable_trait_ids(c.id)]
 
 
 __all__ = [

@@ -196,13 +196,15 @@ def merge(base, ext, out):
 @click.argument("name")
 def show(input_path, name):
     """Look up a category or tree node by id or name."""
-    found = enumeration.lookup(ingest.load_bundled_dataset(input_path), name)
+    model = ingest.load_bundled_dataset(input_path)
+    found = enumeration.lookup(model, name)
     if isinstance(found, PolicyCategory):
         click.echo(f"category {found.id}: {found.name}")
         click.echo("group path: " + " > ".join(found.group_path))
         if found.cross_tags:
             click.echo("tags: " + ", ".join(sorted(found.cross_tags)))
-        click.echo("traits: " + (", ".join(sorted(found.implementable_trait_ids)) or "(none)"))
+        traits = sorted(model.implementable_trait_ids(found.id))
+        click.echo("traits: " + (", ".join(traits) or "(none)"))
     else:
         click.echo(f"node {found.id} [{found.kind}]: {found.label}")
 

@@ -1,9 +1,10 @@
 """Enumerate atomic-policy schemas from checkmark tables and query the tree.
 
-Every checkmark is one implementable (category, trait) pair. Order is
-deterministic: table order, then row order, then trait-column order, and
-subtrait expansion follows subtrait definition order. Listing and
-counting read one walk, so a filtered count is the length of the list.
+Every checkmark is one implementable (category, trait) pair, and a
+category's marks over all tables are TaxonomyModel.implementable_trait_ids.
+Order is deterministic: table order, then row order, then trait-column
+order, and subtrait expansion follows subtrait definition order. Listing
+and counting read one walk, so a filtered count is the length of the list.
 """
 from __future__ import annotations
 

@@ -55,7 +55,8 @@ def _slugs(labels: Iterable[str]) -> list[str]:
 
 
 def export_tree_dot(model: TaxonomyModel) -> ExportArtifact:
-    """DOT digraph of the taxonomy: boxed groups, plain category leaves."""
+    """DOT digraph of the taxonomy: boxed groups, plain category leaves, and
+    one edge to each child that resolves, however often it is listed."""
     nodes = [node for node, _ in iter_tree(model)]
     node_slugs = _slugs(node.label for node in nodes)
     slugs = dict(zip((node.id for node in nodes), node_slugs))
@@ -64,8 +65,9 @@ def export_tree_dot(model: TaxonomyModel) -> ExportArtifact:
         shape = "box" if node.kind == "group" else "plaintext"
         lines.append(f"  {slug} [label={_quote(node.label)}, shape={shape}];")
     for node in nodes:
-        for child_id in node.children:
-            lines.append(f"  {slugs[node.id]} -> {slugs[child_id]};")
+        for child_id in dict.fromkeys(node.children):
+            if child_id in slugs:
+                lines.append(f"  {slugs[node.id]} -> {slugs[child_id]};")
     lines.append("}")
     return ExportArtifact("\n".join(lines) + "\n")
 

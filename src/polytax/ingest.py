@@ -7,8 +7,9 @@ each record's keys, JSON kinds, defaults and dump order; parsing and
 serialization both read them. Parsing is total: a value of another kind
 is dropped with an E_SCHEMA at its JSON path (null counts as missing),
 and a file that cannot be read, decoded or nested as deeply gives
-E_SYNTAX. Tables are the source of truth for which traits a category can
-implement; each category's set is built from its table rows.
+E_SYNTAX. The tables alone say which traits a category can implement
+(TaxonomyModel.implementable_trait_ids); a category's inline
+implementable_trait_ids key is only checked against its table rows.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .model import (
     TraitDef,
     TransactionChannel,
     iter_tree,
-    materialize_trait_sets,
     table_marks,
     validate_model,
 )
@@ -141,7 +141,6 @@ _CHANNEL = _Record(
     TransactionChannel, _ID, ("authority", "string", ""), _NAME,
     ("statement_path", "strings", ()), _DESCRIPTION,
 )
-# implementable_trait_ids is parse-only: it comes from the table marks.
 _CATEGORY = _Record(
     PolicyCategory, _ID, _NAME, _DESCRIPTION, ("own_parameters", _PARAMETER, ()),
     ("group_path", "strings", ()), ("cross_tags", "strings", frozenset()),
@@ -184,17 +183,17 @@ def _parse_list(obj: dict, key: str, record: _Record, path: str, diags) -> tuple
     )
 
 
-def _categories_from_marks(doc, marks, diags) -> tuple[PolicyCategory, ...]:
-    """Categories whose implementable sets come from the table marks; an
-    inline set that disagrees with them is an error, never a silent union."""
+def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
+    """The document's categories. An inline implementable_trait_ids key that
+    disagrees with the table rows is an error, never a silent union."""
+    marks = table_marks(tables)
     out = []
     for item, path in _records(doc, "categories", _CATEGORY.required, "", diags):
-        trait_ids = frozenset(marks.get(item["id"], ()))
         inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
-        if inline and frozenset(inline) != trait_ids:
+        if inline and set(inline) != marks.get(item["id"], set()):
             message = f"inline implementable_trait_ids disagree with table rows for {item['id']!r}"
             diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{item['id']}", message))
-        out.append(_parse_record(item, path, _CATEGORY, diags, implementable_trait_ids=trait_ids))
+        out.append(_parse_record(item, path, _CATEGORY, diags))
     return tuple(out)
 
 
@@ -287,7 +286,7 @@ def parse_document_dict(
     nodes, root_id = _parse_tree(doc, diags)
     model = TaxonomyModel(
         traits=_parse_list(doc, "traits", _TRAIT, "", diags),
-        categories=_categories_from_marks(doc, table_marks(tables), diags),
+        categories=_categories(doc, tables, diags),
         nodes=nodes,
         root_id=root_id,
         channels=_parse_list(doc, "channels", _CHANNEL, "", diags),
@@ -381,11 +380,8 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             current, trait_columns=tuple(columns), rows=tuple(rows)
         )
 
-    # Base and incoming categories both take their trait sets from the
-    # merged tables, so they compare on their own content.
-    marks = table_marks(tables)
     new_traits = _parse_list(extension, "traits", _TRAIT, "", diags)
-    new_categories = _categories_from_marks(extension, marks, diags)
+    new_categories = _categories(extension, tables, diags)
     new_channels = _parse_list(extension, "channels", _CHANNEL, "", diags)
     if diags:
         raise IngestError(sorted(diags))
@@ -402,9 +398,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
 
     merged = TaxonomyModel(
         traits=extend(base.traits, new_traits, "traits"),
-        categories=extend(
-            materialize_trait_sets(base.categories, tables), new_categories, "categories"
-        ),
+        categories=extend(base.categories, new_categories, "categories"),
         nodes=base.nodes,
         root_id=base.root_id,
         channels=extend(base.channels, new_channels, "channels"),

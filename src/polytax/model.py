@@ -1,15 +1,17 @@
 """Core domain types, constraint validation, and atomic-policy instantiation.
 
 The model is a set of trait definitions, policy categories, transaction
-channels, checkmark tables and a taxonomy tree. Everything is immutable
-after construction; validation never raises, it returns diagnostics. A
-Diagnostic is a code, a JSON path and a message; every diagnostic is an
-error, and lists of them are sorted by those three fields.
+channels, checkmark tables and a taxonomy tree. The tables alone say which
+traits a category implements; TaxonomyModel.implementable_trait_ids reads
+their marks. Everything is immutable after construction; validation never
+raises, it returns diagnostics. A Diagnostic is a code, a JSON path and a
+message; every diagnostic is an error, and lists of them are sorted by
+those three fields.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 
@@ -120,7 +122,6 @@ class PolicyCategory:
     own_parameters: tuple[ParameterSpec, ...] = ()
     group_path: tuple[str, ...] = (ROOT_GROUP,)
     cross_tags: frozenset[str] = frozenset()
-    implementable_trait_ids: frozenset[str] = frozenset()
     channel_ref: Optional[str] = None
 
 
@@ -194,6 +195,9 @@ class TaxonomyModel:
         self._node_by_id = {n.id: n for n in self.nodes}
         self._channel_by_id = {ch.id: ch for ch in self.channels}
         self._table_by_name = {t.name: t for t in self.tables}
+        self._marks_by_category = {
+            c: frozenset(marks) for c, marks in table_marks(self.tables).items()
+        }
 
     # -- lookups ---------------------------------------------------------
 
@@ -211,6 +215,10 @@ class TaxonomyModel:
 
     def table(self, name: str) -> Optional[CheckTable]:
         return self._table_by_name.get(name)
+
+    def implementable_trait_ids(self, category_id: str) -> frozenset[str]:
+        """The trait ids marked for the category over all tables' rows."""
+        return self._marks_by_category.get(category_id, frozenset())
 
     @property
     def tree(self) -> Optional[TaxonomyNode]:
@@ -270,24 +278,6 @@ def table_marks(tables: Iterable[CheckTable]) -> dict[str, set[str]]:
         for row in table.rows:
             marks.setdefault(row.category_id, set()).update(row.marks)
     return marks
-
-
-def materialize_trait_sets(
-    categories: Iterable[PolicyCategory], tables: Iterable[CheckTable]
-) -> tuple[PolicyCategory, ...]:
-    """The categories with implementable_trait_ids set from the table rows.
-
-    Tables are the source of truth; a category whose set already agrees is
-    returned as the same object.
-    """
-    marks = table_marks(tables)
-    out = []
-    for category in categories:
-        from_tables = marks.get(category.id, set())
-        if category.implementable_trait_ids != from_tables:
-            category = replace(category, implementable_trait_ids=frozenset(from_tables))
-        out.append(category)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +386,6 @@ def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
                         f"mark {mark!r} is not a column of table {table.name!r}",
                     )
 
-    # Tables are the source of truth for implementable traits; a category
-    # whose inline set disagrees with its table rows is an error.
-    if model.tables:
-        marks = table_marks(model.tables)
-        for category in model.categories:
-            if category.implementable_trait_ids != marks.get(category.id, set()):
-                yield (
-                    "E_TABLE_MISMATCH", f"/categories/{category.id}",
-                    f"implementable_trait_ids disagree with table checkmarks for {category.id!r}",
-                )
-
 
 def _findings(model: TaxonomyModel) -> Iterator[Finding]:
     yield from _check_unique_ids(model.traits, "/traits")
@@ -421,9 +400,6 @@ def _findings(model: TaxonomyModel) -> Iterator[Finding]:
     for category in model.categories:
         path = f"/categories/{category.id}"
         yield from _check_parameters(category.own_parameters, path)
-        for trait_id in sorted(category.implementable_trait_ids):
-            if model.trait(trait_id) is None:
-                yield "E_UNKNOWN_TRAIT", path, f"implementable trait {trait_id!r} does not resolve"
         if not category.group_path or category.group_path[0] != ROOT_GROUP:
             yield "E_BAD_GROUP_PATH", path, f"group_path must start at {ROOT_GROUP!r}"
         if category.channel_ref is not None and model.channel(category.channel_ref) is None:
@@ -480,7 +456,7 @@ def instantiate_atomic_policy(
     trait = model.trait(trait_id)
     if trait is None:
         raise PolicyError("E_NOT_FOUND", f"unknown trait {trait_id!r}")
-    if trait_id not in category.implementable_trait_ids:
+    if trait_id not in model.implementable_trait_ids(category_id):
         raise PolicyError(
             "E_NOT_IMPLEMENTABLE",
             f"category {category_id!r} has no checkmark for trait {trait_id!r}",
@@ -541,7 +517,6 @@ __all__ = [
     "TaxonomyModel",
     "models_equivalent",
     "table_marks",
-    "materialize_trait_sets",
     "build_tree",
     "iter_tree",
     "validate_model",

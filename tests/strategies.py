@@ -67,7 +67,6 @@ def taxonomy_models(draw):
                 cross_tags=frozenset(
                     tag for tag in ("alpha", "beta") if draw(st.booleans())
                 ),
-                implementable_trait_ids=frozenset(marks),
             )
         )
         rows.append(TableRow(category_id=f"cat-{i}", marks=marks))

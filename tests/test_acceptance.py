@@ -189,4 +189,4 @@ def test_criterion_7_extendability(model):
         after = sum(len(r.marks) for t in merged.tables for r in t.rows)
         assert after == before + len(implementers)
         for c in implementers:
-            assert "sunset-clause" in merged.category(c).implementable_trait_ids
+            assert "sunset-clause" in merged.implementable_trait_ids(c)

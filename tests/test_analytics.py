@@ -442,13 +442,21 @@ def test_mst_edges_equal_reference_kruskal():
 @pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])
 def test_mst_edges_equal_reference_kruskal_on_bundled_dataset(model, null_mode):
     # A category with traits whose id is "Null Policy" gives two rows of that
-    # label under collapse.
-    named = next(c for c in model.categories if c.implementable_trait_ids)
+    # label under collapse; its table row is renamed along with it.
+    named = next(c for c in model.categories if model.implementable_trait_ids(c.id))
     categories = tuple(
         dataclasses.replace(c, id=NULL_POLICY_LABEL) if c is named else c
         for c in model.categories
     )
-    tm = build_trait_matrix(dataclasses.replace(model, categories=categories), null_mode)
+    tables = tuple(
+        dataclasses.replace(t, rows=tuple(
+            dataclasses.replace(r, category_id=NULL_POLICY_LABEL) if r.category_id == named.id
+            else r for r in t.rows
+        ))
+        for t in model.tables
+    )
+    renamed = dataclasses.replace(model, categories=categories, tables=tables)
+    tm = build_trait_matrix(renamed, null_mode)
     assert tm.row_labels.count(NULL_POLICY_LABEL) == (2 if null_mode == "collapse" else 1)
     dist = euclidean_distance(tm)
     assert kruskal_mst(dist).edges == reference_kruskal(dist).edges

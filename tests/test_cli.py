@@ -143,7 +143,7 @@ def test_merge_command(runner, dataset_file, tmp_path):
     merged, diags = ingest.parse_taxonomy_document(out.read_text(encoding="utf-8"))
     assert diags == []
     assert len(merged.traits) == 24
-    assert "payment-rail" in merged.category("personal-income-tax").implementable_trait_ids
+    assert "payment-rail" in merged.implementable_trait_ids("personal-income-tax")
 
 
 def test_merge_conflict_exits_one(runner, dataset_file, tmp_path):

@@ -89,7 +89,7 @@ def test_count_by_trait_recount(model):
     expected = sum(
         1
         for c in model.categories
-        if "tax-evasion-penalty" in c.implementable_trait_ids
+        if "tax-evasion-penalty" in model.implementable_trait_ids(c.id)
     )
     assert by_trait["tax-evasion-penalty"] == expected
     assert sum(by_trait.values()) == sum(count_checkmarks(model, "table").values())
@@ -212,7 +212,7 @@ def test_iter_tree_visits_each_node_of_a_cyclic_model_once():
 def test_lookup_carucage(model):
     found = lookup(model, "Carucage")
     assert found.id == "carucage"
-    assert sorted(found.implementable_trait_ids) == [
+    assert sorted(model.implementable_trait_ids(found.id)) == [
         "exemption", "tax-calculation-type", "tax-credit", "tax-evasion-penalty",
     ]
 

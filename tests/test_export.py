@@ -74,6 +74,19 @@ def test_tree_dot_node_count(model):
     assert len(node_lines) == len(model.nodes)
 
 
+def test_tree_dot_skips_dangling_and_repeated_children():
+    model = TaxonomyModel(
+        nodes=(TaxonomyNode("r", "R", "group", ("x", "missing", "x")),
+               TaxonomyNode("x", "X", "group")),
+        root_id="r",
+    )
+    assert export_tree_dot(model).text == (
+        "digraph taxonomy {\n  rankdir=LR;\n"
+        '  r [label="R", shape=box];\n  x [label="X", shape=box];\n'
+        "  r -> x;\n}\n"
+    )
+
+
 def test_tree_exports_are_deterministic(model):
     assert export_tree_dot(model).text == export_tree_dot(model).text
     assert export_tree_text(model).text == export_tree_text(model).text

@@ -156,7 +156,21 @@ def test_merge_adds_trait_and_checkmarks(model):
     merged = ingest.merge_extension(model, payment_rail_extension())
     assert len(merged.traits) == len(model.traits) + 1
     assert total_marks(merged) == total_marks(model) + 5
-    assert "payment-rail" in merged.category("personal-income-tax").implementable_trait_ids
+    assert "payment-rail" in merged.implementable_trait_ids("personal-income-tax")
+
+
+def test_merge_identical_category_with_new_mark_is_not_a_conflict(model):
+    # The category compares on its own content; its new trait comes from the
+    # merged table row alone.
+    extension = payment_rail_extension()
+    category = next(c for c in ingest.model_to_document(model)["categories"]
+                    if c["id"] == "personal-income-tax")
+    extension["categories"] = [category]
+    merged = ingest.merge_extension(model, extension)
+    assert merged.categories == model.categories
+    assert merged.implementable_trait_ids("personal-income-tax") == (
+        model.implementable_trait_ids("personal-income-tax") | {"payment-rail"}
+    )
 
 
 def test_merge_conflicting_redefinition_rejected(model):
@@ -413,10 +427,9 @@ def test_invalid_tree_serializes_resolvable_children_once():
                     "children": [{"id": "x", "label": "X", "kind": "group"}]}
 
 
-# Model attributes that parsing fills but no field table dumps: a category's
-# implementable set comes from the table marks, a node's children from the
-# tree walk.
-PARSE_ONLY = {M.PolicyCategory: {"implementable_trait_ids"}, M.TaxonomyNode: {"children"}}
+# Model attributes that parsing fills but no field table dumps: a node's
+# children come from the tree walk.
+PARSE_ONLY = {M.TaxonomyNode: {"children"}}
 RECORD_CLASSES = {
     M.ParameterSpec, M.SubtraitDef, M.TraitDef, M.TransactionChannel,
     M.PolicyCategory, M.CheckTable, M.TableRow, M.TaxonomyNode,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -34,12 +35,38 @@ def test_unknown_trait_reference_is_reported():
                 id="personal-income-tax",
                 name="Personal Income Tax",
                 group_path=("Economic Policy",),
-                implementable_trait_ids=frozenset({"tax-base"}),
+            ),
+        ),
+        tables=(
+            CheckTable(
+                name="main",
+                title="Main",
+                trait_columns=("tax-base",),
+                rows=(TableRow("personal-income-tax", ("tax-base",)),),
             ),
         ),
     )
     codes = [d.code for d in validate_model(bad)]
     assert codes == ["E_UNKNOWN_TRAIT"]
+
+
+def test_implementable_trait_ids_is_the_union_of_table_marks():
+    model = TaxonomyModel(
+        traits=(TraitDef("t", "T"), TraitDef("u", "U")),
+        categories=(PolicyCategory("c", "C"), PolicyCategory("d", "D")),
+        tables=(
+            CheckTable("one", "One", ("t",), (TableRow("c", ("t",)),)),
+            CheckTable("two", "Two", ("u",), (TableRow("c", ("u",)),)),
+        ),
+    )
+    assert model.implementable_trait_ids("c") == frozenset({"t", "u"})
+    # A category without a row and an unknown id both have no traits.
+    for category_id in ("d", "nobody"):
+        found = model.implementable_trait_ids(category_id)
+        assert found == frozenset() and isinstance(found, frozenset)
+    rebuilt = dataclasses.replace(model, tables=model.tables[1:])
+    assert rebuilt.implementable_trait_ids("c") == frozenset({"u"})
+    assert model.implementable_trait_ids("c") == frozenset({"t", "u"})
 
 
 def test_node_with_two_parents_is_not_a_tree():
@@ -72,30 +99,6 @@ def test_duplicate_ids_and_params_flagged():
     assert codes == ["E_DUP_ID", "E_DUP_PARAM"]
 
 
-def test_table_mismatch_detected():
-    bad = TaxonomyModel(
-        traits=(TraitDef(id="t", name="T"),),
-        categories=(
-            PolicyCategory(
-                id="c",
-                name="C",
-                group_path=("Economic Policy",),
-                implementable_trait_ids=frozenset(),
-            ),
-        ),
-        tables=(
-            CheckTable(
-                name="main",
-                title="Main",
-                trait_columns=("t",),
-                rows=(TableRow("c", ("t",)),),
-            ),
-        ),
-    )
-    codes = [d.code for d in validate_model(bad)]
-    assert "E_TABLE_MISMATCH" in codes
-
-
 def triples(diags):
     return [(d.code, d.path, d.message) for d in diags]
 
@@ -117,7 +120,7 @@ def test_every_finding_site_is_pinned():
         categories=(
             PolicyCategory(
                 "c", "C", own_parameters=(param("z"), param("z")), group_path=("Elsewhere",),
-                implementable_trait_ids=frozenset({"t", "ghost"}), channel_ref="nowhere",
+                channel_ref="nowhere",
             ),
             PolicyCategory("d", "D"),
             PolicyCategory("d", "D"),
@@ -158,6 +161,11 @@ def test_every_finding_site_is_pinned():
     base, inline_mismatch = ingest.parse_document_dict(doc)
     with pytest.raises(ingest.IngestError) as conflict:
         ingest.merge_extension(base, {"traits": [{"id": "t", "name": "Other"}]})
+    with pytest.raises(ingest.IngestError) as merge_mismatch:
+        ingest.merge_extension(base, {"categories": [
+            {"id": "e", "name": "E", "group_path": ["Economic Policy"],
+             "implementable_trait_ids": ["t"]},
+        ]})
     cases = [
         (validate_model(broken), [
             ("E_BAD_GROUP_PATH", "/categories/c", "group_path must start at 'Economic Policy'"),
@@ -180,15 +188,12 @@ def test_every_finding_site_is_pinned():
             ("E_DUP_PARAM", "/traits/t/parameters/x", "duplicate parameter name 'x'"),
             ("E_NOT_A_TREE", "/tree/leaf", "node 'leaf' has more than one parent"),
             ("E_NOT_A_TREE", "/tree/orphan", "node 'orphan' is not reachable from the root"),
-            ("E_TABLE_MISMATCH", "/categories/c",
-             "implementable_trait_ids disagree with table checkmarks for 'c'"),
             ("E_UNKNOWN_CATEGORY", "/tables/main/rows/nobody",
              "row references unknown category 'nobody'"),
             ("E_UNKNOWN_CATEGORY", "/tree/g", "node 'g' references unknown category"),
             ("E_UNKNOWN_CATEGORY", "/tree/leaf",
              "category node 'leaf' has no resolvable category_ref"),
             ("E_UNKNOWN_CHANNEL", "/categories/c", "channel_ref 'nowhere' does not resolve"),
-            ("E_UNKNOWN_TRAIT", "/categories/c", "implementable trait 'ghost' does not resolve"),
             ("E_UNKNOWN_TRAIT", "/tables/main/columns/ghost-col",
              "table column 'ghost-col' is not a trait"),
         ]),
@@ -211,6 +216,10 @@ def test_every_finding_site_is_pinned():
         ]),
         (conflict.value.diagnostics, [
             ("E_CONFLICT", "/traits/t", "'t' is already defined with different content"),
+        ]),
+        (merge_mismatch.value.diagnostics, [
+            ("E_TABLE_MISMATCH", "/categories/e",
+             "inline implementable_trait_ids disagree with table rows for 'e'"),
         ]),
     ]
     for diags, expected in cases:
@@ -338,12 +347,8 @@ def one_schema_model(*parameters: ParameterSpec, trait_parameters=()) -> Taxonom
     """Category "c" with the given own parameters, checkmarked for trait "t"."""
     return TaxonomyModel(
         traits=(TraitDef(id="t", name="T", parameters=tuple(trait_parameters)),),
-        categories=(
-            PolicyCategory(
-                id="c", name="C", own_parameters=parameters,
-                implementable_trait_ids=frozenset({"t"}),
-            ),
-        ),
+        categories=(PolicyCategory(id="c", name="C", own_parameters=parameters),),
+        tables=(CheckTable("main", "Main", ("t",), (TableRow("c", ("t",)),)),),
     )
 
 
@@ -436,4 +441,4 @@ def test_checkmark_sweep_matches_tables(model):
                     # implementable.
                     assert exc.code == "E_BINDING"
                     ok = True
-            assert ok == (trait.id in category.implementable_trait_ids)
+            assert ok == (trait.id in model.implementable_trait_ids(category.id))
