@@ -1,4 +1,8 @@
-"""polytax: economic-policy taxonomy engine and trait analytics."""
+"""polytax: economic-policy taxonomy engine and trait analytics.
+
+The analytics names below are resolved on first access, so importing the
+package does not import numpy; only analytics does.
+"""
 
 from .model import (
     AtomicPolicy,
@@ -31,12 +35,21 @@ from .enumeration import (
     enumerate_schemas,
     lookup,
 )
-from .analytics import (
-    build_trait_matrix,
-    euclidean_distance,
-    kruskal_mst,
-    pearson_correlation,
-    signal_series,
-)
 
 __version__ = "0.1.0"
+
+_ANALYTICS = frozenset({
+    "build_trait_matrix",
+    "euclidean_distance",
+    "kruskal_mst",
+    "pearson_correlation",
+    "signal_series",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYTICS:
+        from . import analytics
+
+        return getattr(analytics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolicyError, TaxonomyModel
-
-NULL_MODES = ("include", "collapse", "exclude")
+from .model import NULL_MODES, PolicyError, TaxonomyModel
 
 NULL_POLICY_LABEL = "Null Policy"
 

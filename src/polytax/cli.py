@@ -6,21 +6,27 @@ Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
 read or decoded is an E_SYNTAX error, and an --out file that cannot be
 written exits 1 with a one-line message. The bundled dataset is the
-default input; POLYTAX_DATA or --input override it.
+default input; POLYTAX_DATA or --input override it. Only the matrix,
+corr, dist and mst commands import analytics, and with it numpy.
 """
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from . import analytics, enumeration, export, ingest
-from .model import PolicyCategory, PolicyError
+from . import enumeration, export, ingest
+from .model import NULL_MODES, PolicyCategory, PolicyError
+
+if TYPE_CHECKING:
+    from .analytics import TraitMatrix
 
 
-def _trait_matrix(input_path: Optional[str], null_mode: str) -> analytics.TraitMatrix:
-    return analytics.build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
+def _trait_matrix(input_path: Optional[str], null_mode: str) -> TraitMatrix:
+    from .analytics import build_trait_matrix
+
+    return build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -40,7 +46,7 @@ input_option = click.option(
 )
 null_mode_option = click.option(
     "--null-mode", default="include",
-    type=click.Choice(analytics.NULL_MODES),
+    type=click.Choice(NULL_MODES),
     help="How to treat categories that implement no traits.",
 )
 out_option = click.option(
@@ -154,6 +160,8 @@ def _matrix_command(name: str, function: Optional[str], doc: str) -> None:
     @null_mode_option
     @out_option
     def command(input_path, null_mode, out):
+        from . import analytics
+
         result = _trait_matrix(input_path, null_mode)
         if function is not None:
             result = getattr(analytics, function)(result)
@@ -172,6 +180,8 @@ _matrix_command("dist", "euclidean_distance", "Export the Euclidean distance mat
 @out_option
 def mst(input_path, null_mode, fmt, out):
     """Export the minimum-spanning tree (DOT) or pruned distances (CSV)."""
+    from . import analytics
+
     tm = _trait_matrix(input_path, null_mode)
     result = analytics.kruskal_mst(analytics.euclidean_distance(tm))
     if fmt == "dot":

@@ -16,12 +16,12 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
-from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
 from .model import PolicyError, TaxonomyModel, iter_tree
 
-Matrix = Union[TraitMatrix, CorrelationMatrix, DistanceMatrix]
+if TYPE_CHECKING:  # analytics imports numpy; the exporters only read its results
+    from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,17 @@ def _csv_line(fields: list[str]) -> str:
     return '""' if fields == [""] else ",".join(fields)
 
 
-def export_matrix_csv(matrix: Matrix) -> ExportArtifact:
+def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) -> ExportArtifact:
     """RFC-4180-style CSV: header row of column labels, label column first.
 
     Booleans become 0/1, floats the repr of their float64 value, and
     undefined (NaN) cells empty fields. Each distinct cell value is
     formatted once.
     """
-    if isinstance(matrix, TraitMatrix):
-        rows, cols = matrix.row_labels, matrix.col_labels
-    else:
+    if hasattr(matrix, "labels"):
         rows = cols = matrix.labels
+    else:
+        rows, cols = matrix.row_labels, matrix.col_labels
 
     floats = matrix.cells.dtype.kind == "f"
     text = _CellText(floats)

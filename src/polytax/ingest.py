@@ -185,11 +185,14 @@ def _parse_list(obj: dict, key: str, record: _Record, path: str, diags) -> tuple
 
 def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
     """The document's categories. An inline implementable_trait_ids key that
-    disagrees with the table rows is an error, never a silent union."""
-    marks = table_marks(tables)
+    disagrees with the table rows is an error, never a silent union. The
+    rows' marks are gathered only once a category has that key."""
+    marks = None
     out = []
     for item, path in _records(doc, "categories", _CATEGORY.required, "", diags):
         inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
+        if inline and marks is None:
+            marks = table_marks(tables)
         if inline and set(inline) != marks.get(item["id"], set()):
             message = f"inline implementable_trait_ids disagree with table rows for {item['id']!r}"
             diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{item['id']}", message))

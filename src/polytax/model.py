@@ -3,15 +3,16 @@
 The model is a set of trait definitions, policy categories, transaction
 channels, checkmark tables and a taxonomy tree. The tables alone say which
 traits a category implements; TaxonomyModel.implementable_trait_ids reads
-their marks. Everything is immutable after construction; validation never
-raises, it returns diagnostics. A Diagnostic is a code, a JSON path and a
-message; every diagnostic is an error, and lists of them are sorted by
-those three fields.
+their marks, through a view built on first use. Everything is immutable
+after construction; validation never raises, it returns diagnostics. A
+Diagnostic is a code, a JSON path and a message; every diagnostic is an
+error, and lists of them are sorted by those three fields.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 
@@ -56,6 +57,9 @@ PARAMETER_KINDS = frozenset(_BINDING_CHECKS)
 NODE_KINDS = frozenset({"group", "category", "standalone-policy"})
 
 AUTHORITIES = frozenset({"government", "monetary-authority"})
+
+# How a trait matrix treats categories that implement no traits.
+NULL_MODES = ("include", "collapse", "exclude")
 
 STATEMENT_SECTIONS = frozenset(
     {"Operating Income", "Non-Operating Income", "Irregular Items"}
@@ -195,9 +199,6 @@ class TaxonomyModel:
         self._node_by_id = {n.id: n for n in self.nodes}
         self._channel_by_id = {ch.id: ch for ch in self.channels}
         self._table_by_name = {t.name: t for t in self.tables}
-        self._marks_by_category = {
-            c: frozenset(marks) for c, marks in table_marks(self.tables).items()
-        }
 
     # -- lookups ---------------------------------------------------------
 
@@ -215,6 +216,12 @@ class TaxonomyModel:
 
     def table(self, name: str) -> Optional[CheckTable]:
         return self._table_by_name.get(name)
+
+    @cached_property
+    def _marks_by_category(self) -> dict[str, frozenset[str]]:
+        # Built on first use: parsing, validation, merge and serialization
+        # never read it.
+        return {c: frozenset(marks) for c, marks in table_marks(self.tables).items()}
 
     def implementable_trait_ids(self, category_id: str) -> frozenset[str]:
         """The trait ids marked for the category over all tables' rows."""
@@ -387,6 +394,57 @@ def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
                     )
 
 
+def _first_kinds(params: Iterable[ParameterSpec], path: str) -> dict[str, tuple[str, str]]:
+    """Each parameter name's first kind and the path it is declared at."""
+    first: dict[str, tuple[str, str]] = {}
+    for p in params:
+        first.setdefault(p.name, (p.kind, f"{path}/parameters/{p.name}"))
+    return first
+
+
+def _kind_clashes(
+    earlier: dict[str, tuple[str, str]], params: Iterable[ParameterSpec], path: str
+) -> Iterator[Finding]:
+    for p in params:
+        kind, at = earlier.get(p.name, (p.kind, ""))
+        if kind != p.kind:
+            yield (
+                "E_DUP_PARAM", f"{path}/parameters/{p.name}",
+                f"parameter {p.name!r} is {p.kind!r} here but {kind!r} at {at}",
+            )
+
+
+def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Finding]:
+    """A name that a category, a trait marked for it or one of that trait's
+    subtraits declare with different kinds can bind no value; the later
+    declaration is flagged. Reads the table rows, not the trait-set view."""
+    owners = {c.id: c for c in model.categories if c.own_parameters}
+    marked: set[str] = set()
+    pairs: dict[tuple[str, str], None] = {}
+    for table in model.tables:
+        for row in table.rows:
+            marked.update(row.marks)
+            if row.category_id in owners:
+                pairs.update(dict.fromkeys((row.category_id, mark) for mark in row.marks))
+
+    for trait in model.traits:
+        if trait.id in marked:
+            path = f"/traits/{trait.id}"
+            first = _first_kinds(trait.parameters, path)
+            for sub in trait.subtraits:
+                yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
+
+    for category_id, trait_id in pairs:
+        trait = model.trait(trait_id)
+        if trait is None:
+            continue
+        path = f"/traits/{trait.id}"
+        first = _first_kinds(owners[category_id].own_parameters, f"/categories/{category_id}")
+        yield from _kind_clashes(first, trait.parameters, path)
+        for sub in trait.subtraits:
+            yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
+
+
 def _findings(model: TaxonomyModel) -> Iterator[Finding]:
     yield from _check_unique_ids(model.traits, "/traits")
     for trait in model.traits:
@@ -421,6 +479,7 @@ def _findings(model: TaxonomyModel) -> Iterator[Finding]:
     yield from _check_unique_ids(model.nodes, "/tree")
     yield from _validate_tree(model)
     yield from _validate_tables(model)
+    yield from _validate_parameter_kinds(model)
 
 
 def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
@@ -500,6 +559,7 @@ __all__ = [
     "PARAMETER_KINDS",
     "NODE_KINDS",
     "AUTHORITIES",
+    "NULL_MODES",
     "STATEMENT_SECTIONS",
     "ROOT_GROUP",
     "PolicyError",

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import polytax
 from polytax import ingest
 from polytax.cli import main, run_cli
 
@@ -259,3 +264,48 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
     assert type(result.exception) is SystemExit
     assert expected in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Imports polytax, then runs each command of argv lists in turn; numpy must
+# stay unloaded until the mst command, which must load it.
+COLD_PATH_SCRIPT = """
+import json, sys
+import polytax
+assert "numpy" not in sys.modules, "import polytax"
+from polytax.cli import run_cli
+for argv in json.loads(sys.argv[1]):
+    assert run_cli(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert run_cli(["mst"]) == 0
+assert "numpy" in sys.modules, "mst"
+"""
+
+
+def test_taxonomy_commands_do_not_import_numpy(dataset_file):
+    extension = str(Path(__file__).parent / "golden" / "extension.json")
+    argvs = [
+        ["validate", dataset_file],
+        ["tree"],
+        ["policies", "list"],
+        ["policies", "count"],
+        ["show", "personal-income-tax"],
+        ["merge", dataset_file, extension],
+    ]
+    src = str(Path(polytax.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("POLYTAX_DATA", None)
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_analytics_names_resolve_on_first_access():
+    from polytax import kruskal_mst
+    from polytax.analytics import NULL_MODES, kruskal_mst as defined
+
+    assert kruskal_mst is defined
+    assert NULL_MODES is polytax.model.NULL_MODES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polytax.no_such_name

@@ -91,6 +91,24 @@ def test_inline_trait_set_conflicting_with_tables_is_error(model):
     assert any(d.code == "E_TABLE_MISMATCH" for d in diags)
 
 
+def test_marks_are_gathered_only_for_an_inline_trait_key(model, monkeypatch):
+    """Parse and merge build no trait-set view, and walk the marks for the
+    inline-key check only once a category has that key."""
+    calls = []
+    monkeypatch.setattr(
+        ingest, "table_marks", lambda tables: calls.append(1) or M.table_marks(tables)
+    )
+    doc = ingest.model_to_document(model)
+    parsed, diags = ingest.parse_document_dict(doc)
+    merged = ingest.merge_extension(parsed, payment_rail_extension())
+    assert diags == [] and calls == []
+    assert "_marks_by_category" not in vars(parsed) and "_marks_by_category" not in vars(merged)
+    doc["categories"][0]["implementable_trait_ids"] = ["allowance"]
+    doc["categories"][1]["implementable_trait_ids"] = ["allowance"]
+    _, diags = ingest.parse_document_dict(doc)
+    assert [d.code for d in diags] == ["E_TABLE_MISMATCH"] * 2 and calls == [1]
+
+
 def test_roundtrip_identity_on_bundled_model(model):
     text = ingest.serialize_taxonomy_document(model)
     again, diags = ingest.parse_taxonomy_document(text)

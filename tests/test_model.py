@@ -59,12 +59,17 @@ def test_implementable_trait_ids_is_the_union_of_table_marks():
             CheckTable("two", "Two", ("u",), (TableRow("c", ("u",)),)),
         ),
     )
+    assert validate_model(model) == []
+    assert "_marks_by_category" not in vars(model)  # validation does not build it
     assert model.implementable_trait_ids("c") == frozenset({"t", "u"})
     # A category without a row and an unknown id both have no traits.
     for category_id in ("d", "nobody"):
         found = model.implementable_trait_ids(category_id)
         assert found == frozenset() and isinstance(found, frozenset)
+    # The view is built on the first read; a replaced model builds its own.
+    assert "_marks_by_category" in vars(model)
     rebuilt = dataclasses.replace(model, tables=model.tables[1:])
+    assert "_marks_by_category" not in vars(rebuilt)
     assert rebuilt.implementable_trait_ids("c") == frozenset({"u"})
     assert model.implementable_trait_ids("c") == frozenset({"t", "u"})
 
@@ -149,6 +154,14 @@ def test_every_finding_site_is_pinned():
     # A tree without a root, or with a root that does not resolve, ends the
     # tree checks, so each needs a model of its own.
     rootless = TaxonomyModel(nodes=(TaxonomyNode("n", "N", "group"),))
+    # One name that a category, the trait it is marked with and that trait's
+    # subtrait declare with three kinds: each later declaration is flagged.
+    clashing = TaxonomyModel(
+        traits=(TraitDef("t", "T", (param("x", "condition"),),
+                         (SubtraitDef("s", "S", (param("x", "amount"),)),)),),
+        categories=(PolicyCategory("c", "C", own_parameters=(param("x"),)),),
+        tables=(CheckTable("main", "Main", ("t",), (TableRow("c", ("t",)),)),),
+    )
     dangling_root = TaxonomyModel(nodes=(TaxonomyNode("n", "N", "group"),), root_id="gone")
     doc = {
         "schema_version": "1",
@@ -196,6 +209,14 @@ def test_every_finding_site_is_pinned():
             ("E_UNKNOWN_CHANNEL", "/categories/c", "channel_ref 'nowhere' does not resolve"),
             ("E_UNKNOWN_TRAIT", "/tables/main/columns/ghost-col",
              "table column 'ghost-col' is not a trait"),
+        ]),
+        (validate_model(clashing), [
+            ("E_DUP_PARAM", "/traits/t/parameters/x",
+             "parameter 'x' is 'condition' here but 'rate' at /categories/c/parameters/x"),
+            ("E_DUP_PARAM", "/traits/t/subtraits/s/parameters/x",
+             "parameter 'x' is 'amount' here but 'condition' at /traits/t/parameters/x"),
+            ("E_DUP_PARAM", "/traits/t/subtraits/s/parameters/x",
+             "parameter 'x' is 'amount' here but 'rate' at /categories/c/parameters/x"),
         ]),
         (validate_model(rootless), [("E_NOT_A_TREE", "/tree", "nodes without a root")]),
         (validate_model(dangling_root), [
@@ -414,11 +435,20 @@ def test_binding_accepts_each_kinds_values(kind, value, accepted):
 
 def test_same_named_parameters_each_check_the_value():
     # The category's x is a rate and the trait's x a condition: a value must
-    # be both, and validation does not flag the shared name across levels.
+    # be both, so no value binds, and validation flags the trait's x.
     m = one_schema_model(
         ParameterSpec("x", "rate"), trait_parameters=(ParameterSpec("x", "condition"),)
     )
-    assert validate_model(m) == []
+    assert triples(validate_model(m)) == [(
+        "E_DUP_PARAM", "/traits/t/parameters/x",
+        "parameter 'x' is 'condition' here but 'rate' at /categories/c/parameters/x",
+    )]
+    # The same kind at two levels binds one value, which passes both checks.
+    same = one_schema_model(
+        ParameterSpec("x", "rate"), trait_parameters=(ParameterSpec("x", "rate"),)
+    )
+    assert validate_model(same) == []
+    assert instantiate_atomic_policy(same, "c", "t", None, {"x": 0.2}).bindings == {"x": 0.2}
     for value in ("not a rate", 0.2):
         with pytest.raises(PolicyError) as exc:
             instantiate_atomic_policy(m, "c", "t", None, {"x": value})
