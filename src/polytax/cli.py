@@ -5,7 +5,8 @@ run_cli takes the same exit path as the polytax script, in this process.
 Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
 read or decoded is an E_SYNTAX error, and an --out file that cannot be
-written exits 1 with a one-line message. The bundled dataset is the
+written, or output that does not encode as UTF-8 (a lone surrogate in a
+tree label), exits 1 with a one-line message. The bundled dataset is the
 default input; POLYTAX_DATA or --input override it. Only the matrix,
 corr, dist and mst commands import analytics, and with it numpy.
 """
@@ -30,13 +31,18 @@ def _trait_matrix(input_path: Optional[str], null_mode: str) -> TraitMatrix:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-        return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        if out is None:
+            click.echo(text, nl=False)
+            return
+        data = text.encode("utf-8")
+        with open(out, "wb") as f:
+            f.write(data)
+    except UnicodeEncodeError as exc:
+        raise click.ClickException(f"cannot write {out or 'the output'}: {exc}") from None
     except OSError as exc:
+        if out is None:
+            raise
         raise click.FileError(out, hint=exc.strerror) from None
 
 

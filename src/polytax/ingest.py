@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import replace
 from importlib import resources
 from itertools import repeat
+from json.encoder import encode_basestring
 from typing import Any, Optional
 
 from .model import (
@@ -336,11 +338,110 @@ def model_to_document(model: TaxonomyModel) -> dict:
     return doc
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_INF = float("inf")
+
+
+def _string_text(value: str) -> str:
+    """A JSON string literal as json.encoder writes it, but with each lone
+    surrogate as a \\uXXXX escape, so that the text always encodes to UTF-8."""
+    text = encode_basestring(value)
+    if value.isascii():
+        return text
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+
+
+def _scalar_text(value: Any) -> str:
+    """null, a boolean or a number as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(value: Any) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False) + "\\n", byte for
+    byte, but for lone surrogates (see _string_text).
+
+    The walk keeps one (items, is_dict, depth, id) frame per open container
+    on an explicit stack, so nesting depth is not bounded by the recursion
+    limit. Each item is followed by the separator of its depth; closing a
+    container overwrites its last item's separator with the newline and
+    indent of the level above, and the root's with the final newline. The
+    newline-and-indent and separator strings of each depth, and the text of
+    each string key, are built once and shared."""
+    chunks: list[str] = []
+    append = chunks.append
+    newlines = ["\n"]
+    separators = [",\n"]
+    keys: dict[str, str] = {}
+    open_ids: set[int] = set()
+    stack = [(iter((value,)), False, 0, 0)]
+    while stack:
+        items, is_dict, depth, ident = stack[-1]
+        separator = separators[depth]
+        for item in items:
+            if is_dict:
+                key, item = item
+                text = keys.get(key)
+                if text is None:
+                    text = _string_text(key if isinstance(key, str) else _scalar_text(key)) + ": "
+                    if isinstance(key, str):
+                        keys[key] = text
+                append(text)
+            if isinstance(item, str):
+                append(encode_basestring(item) if item.isascii() else _string_text(item))
+            elif not isinstance(item, (dict, list, tuple)):
+                append(_scalar_text(item))
+            elif not item:
+                append("{}" if isinstance(item, dict) else "[]")
+            else:
+                if id(item) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(item))
+                if depth + 1 == len(newlines):
+                    newlines.append(newlines[-1] + "  ")
+                    separators.append("," + newlines[-1])
+                if isinstance(item, dict):
+                    append("{")
+                    stack.append((iter(item.items()), True, depth + 1, id(item)))
+                else:
+                    append("[")
+                    stack.append((iter(item), False, depth + 1, id(item)))
+                append(newlines[depth + 1])
+                break
+            append(separator)
+        else:
+            stack.pop()
+            if stack:
+                open_ids.discard(ident)
+                chunks[-1] = newlines[depth - 1]
+                append("}" if is_dict else "]")
+                append(separators[depth - 1])
+    chunks[-1] = "\n"
+    return "".join(chunks)
+
+
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
-    """Deterministic UTF-8 text such that parse(serialize(m)) == m. Like
-    decoding, json.dumps stops near 500 tree levels (RecursionError)."""
-    doc = model_to_document(model)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic text such that parse(serialize(m)) == m: the bytes of
+    json.dumps(model_to_document(m), indent=2, ensure_ascii=False) and a
+    newline, except that a lone surrogate is written as a \\uXXXX escape,
+    so the text always encodes to UTF-8. Serializing has no depth limit;
+    decoding the text still gives E_SYNTAX near 500 tree levels."""
+    return _dumps(model_to_document(model))
 
 
 # ---------------------------------------------------------------------------

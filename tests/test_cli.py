@@ -151,6 +151,25 @@ def test_merge_command(runner, dataset_file, tmp_path):
     assert "payment-rail" in merged.implementable_trait_ids("personal-income-tax")
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_merge_writes_a_lone_surrogate_as_an_escape(runner, tmp_path, to_file):
+    doc = json.loads(ingest.bundled_dataset_text())
+    doc["categories"][0]["name"] = "\ud800"
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc), encoding="utf-8")
+    ext = tmp_path / "ext.json"
+    ext.write_text("{}", encoding="utf-8")
+    out = tmp_path / "merged.taxonomy.json"
+    result = runner.invoke(
+        main, ["merge", str(base), str(ext)] + (["--out", str(out)] if to_file else [])
+    )
+    assert result.exit_code == 0
+    text = out.read_text("utf-8") if to_file else result.stdout
+    assert '"name": "\\ud800"' in text
+    merged, diags = ingest.parse_taxonomy_document(text)
+    assert diags == [] and merged.categories[0].name == "\ud800"
+
+
 def test_merge_conflict_exits_one(runner, dataset_file, tmp_path):
     ext = tmp_path / "conflict.json"
     ext.write_text(json.dumps({
@@ -230,6 +249,14 @@ BAD_INPUTS = {
     "tree-out-missing-dir": (
         ["tree", "--out", "@missing-dir"], {}, 1, "No such file or directory"
     ),
+    # A lone surrogate is valid JSON text but cannot be written as UTF-8.
+    "tree-lone-surrogate": (
+        ["tree", "--input", "@surrogate-label"], {}, 1, "surrogates not allowed"
+    ),
+    "tree-out-lone-surrogate": (
+        ["tree", "--input", "@surrogate-label", "--out", "@tree-out"], {}, 1,
+        "surrogates not allowed",
+    ),
 }
 
 
@@ -240,7 +267,10 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         "@missing": str(tmp_path / "missing.json"),
         "@directory": str(tmp_path),
         "@missing-dir": str(tmp_path / "missing" / "tree.txt"),
+        "@tree-out": str(tmp_path / "tree.txt"),
     }
+    surrogate_label = json.loads(ingest.bundled_dataset_text())
+    surrogate_label["tree"]["label"] = "\udc80"
     for name, data in (
         ("not-json", b"{not json"),
         ("json-list", b"[1, 2]"),
@@ -248,6 +278,7 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         ("one-channel", json.dumps(ONE_CHANNEL).encode()),
         ("ff-fe", b"\xff\xfe"),
         ("deep-tree", b'{"tree": ' + b'{"id": "g", "children": [' * 5000 + b"]}" * 5000 + b"}"),
+        ("surrogate-label", json.dumps(surrogate_label).encode()),
     ):
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)

@@ -139,6 +139,54 @@ def test_roundtrip_identity_property(m):
     assert again == m
 
 
+def stdlib_dumps(value):
+    """The serializer's byte oracle."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(taxonomy_models())
+def test_serializer_writes_the_bytes_of_json_dumps(m):
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+
+
+# Text without surrogates: json.dumps leaves a lone one unescaped, and the
+# serializer escapes it.
+JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_emitter_writes_the_bytes_of_json_dumps_on_any_json_value(value):
+    assert ingest._dumps(value) == stdlib_dumps(value)
+
+
+def test_emitter_rejects_what_json_dumps_rejects():
+    loop = []
+    loop.append(loop)
+    for value, error in (({"a": loop}, ValueError), ([object()], TypeError), ({(1,): 1}, TypeError)):
+        with pytest.raises(error):
+            stdlib_dumps(value)
+        with pytest.raises(error):
+            ingest._dumps(value)
+
+
+def test_lone_surrogates_serialize_as_escapes(model):
+    category = dataclasses.replace(model.categories[0], name="a\ud800b\udc80")
+    odd = dataclasses.replace(model, categories=(category,) + model.categories[1:])
+    text = ingest.serialize_taxonomy_document(odd)
+    assert '"name": "a\\ud800b\\udc80"' in text
+    again, diags = ingest.parse_taxonomy_document(text.encode("utf-8"))
+    assert diags == [] and again == odd
+
+
 # ---------------------------------------------------------------------------
 # merge
 # ---------------------------------------------------------------------------
@@ -423,6 +471,21 @@ def test_deep_tree_parses_validates_walks_and_exports():
     depths = [depth for _, depth in iter_tree(model)]
     assert depths == list(range(5001))
     assert export_tree_text(model).text.count("\n") == 5001
+
+
+def test_deep_tree_serializes_without_recursion_limit():
+    depth = 2000
+    chain = tuple(M.TaxonomyNode(f"g{i}", f"g{i}", "group", (f"g{i + 1}",) if i + 1 < depth else ())
+                  for i in range(depth))
+    deep = dataclasses.replace(M.TaxonomyModel(), nodes=chain, root_id="g0")
+    with pytest.raises(RecursionError):
+        stdlib_dumps(ingest.model_to_document(deep))
+    lines = ingest.serialize_taxonomy_document(deep).splitlines()
+    id_lines = [line for line in lines if line.lstrip().startswith('"id": ')]
+    assert len(id_lines) == depth
+    # Node i's keys sit at nesting level 2 + 2i: the tree object, then a
+    # children list and a node object per level.
+    assert id_lines[-1] == "  " * (2 + 2 * (depth - 1)) + f'"id": "g{depth - 1}",'
 
 
 def test_cyclic_tree_serializes_each_node_once():
