@@ -18,6 +18,7 @@ from .model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
+    build_tree,
     instantiate_atomic_policy,
     validate_model,
 )
@@ -30,7 +31,6 @@ from .ingest import (
 )
 from .enumeration import (
     EnumerationFilter,
-    build_tree,
     count_checkmarks,
     enumerate_schemas,
     lookup,
@@ -43,7 +43,6 @@ _ANALYTICS = frozenset({
     "euclidean_distance",
     "kruskal_mst",
     "pearson_correlation",
-    "signal_series",
 })
 
 

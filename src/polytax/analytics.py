@@ -8,8 +8,8 @@ BLAS build. Pearson correlation is undefined (NaN) for pairs involving a
 constant series. The minimum-spanning tree takes the edges (i, j), i < j,
 in one order: by weight, then by sorted label pair, then by (i, j). That
 order is strict and total, so the tree is unique and does not depend on
-the algorithm that finds it. Its pruned distance matrix and adjacency
-matrix are computed on access from the edge list.
+the algorithm that finds it. Its pruned distance matrix is computed on
+access from the edge list.
 """
 from __future__ import annotations
 
@@ -27,19 +27,6 @@ class TraitMatrix:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     cells: np.ndarray  # bool, shape (rows, cols)
-
-    def row(self, label: str) -> np.ndarray:
-        try:
-            i = self.row_labels.index(label)
-        except ValueError:
-            raise PolicyError("E_NOT_FOUND", f"no matrix row {label!r}") from None
-        return self.cells[i]
-
-
-@dataclass(frozen=True)
-class SignalSeries:
-    category_id: str
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,15 +55,6 @@ class MstResult:
         for i, j, weight in self.edges:
             cells[i, j] = cells[j, i] = weight
         return DistanceMatrix(self.labels, cells)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """int 0/1 matrix of shape (n, n) with a 1 for each tree edge."""
-        n = len(self.labels)
-        adjacency = np.zeros((n, n), dtype=int)
-        for i, j, _ in self.edges:
-            adjacency[i, j] = adjacency[j, i] = 1
-        return adjacency
 
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
@@ -113,12 +91,6 @@ def build_trait_matrix(model: TaxonomyModel, null_mode: str = "include") -> Trai
 
     cells = np.array(rows, dtype=bool) if rows else np.zeros((0, len(col_labels)), dtype=bool)
     return TraitMatrix(tuple(labels), col_labels, cells)
-
-
-def signal_series(matrix: TraitMatrix, category_id: str) -> SignalSeries:
-    """The 0/1 vector of one matrix row, in column order."""
-    row = matrix.row(category_id)
-    return SignalSeries(category_id, tuple(int(v) for v in row))
 
 
 def _cooccurrence(matrix: TraitMatrix, what: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -201,12 +173,10 @@ __all__ = [
     "NULL_MODES",
     "NULL_POLICY_LABEL",
     "TraitMatrix",
-    "SignalSeries",
     "CorrelationMatrix",
     "DistanceMatrix",
     "MstResult",
     "build_trait_matrix",
-    "signal_series",
     "pearson_correlation",
     "euclidean_distance",
     "kruskal_mst",

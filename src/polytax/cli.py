@@ -5,13 +5,16 @@ run_cli takes the same exit path as the polytax script, in this process.
 Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
 read or decoded is an E_SYNTAX error, and an --out file that cannot be
-written, or output that does not encode as UTF-8 (a lone surrogate in a
-tree label), exits 1 with a one-line message. The bundled dataset is the
-default input; POLYTAX_DATA or --input override it. Only the matrix,
-corr, dist and mst commands import analytics, and with it numpy.
+written, stdout that cannot be written (a full disk), or output that
+does not encode as UTF-8 (a lone surrogate in a tree label), exits 1 with
+a one-line message; a closed pipe exits 1 quietly. The bundled dataset is
+the default input; POLYTAX_DATA or --input override it. Only the matrix,
+corr, dist and mst commands import analytics, and with it numpy; the
+taxonomy commands, table among them, start without it.
 """
 from __future__ import annotations
 
+import errno
 import functools
 from typing import TYPE_CHECKING, Optional
 
@@ -36,13 +39,12 @@ def _write_out(text: str, out: Optional[str]) -> None:
             click.echo(text, nl=False)
             return
         data = text.encode("utf-8")
-        with open(out, "wb") as f:
-            f.write(data)
     except UnicodeEncodeError as exc:
         raise click.ClickException(f"cannot write {out or 'the output'}: {exc}") from None
+    try:
+        with open(out, "wb") as f:
+            f.write(data)
     except OSError as exc:
-        if out is None:
-            raise
         raise click.FileError(out, hint=exc.strerror) from None
 
 
@@ -61,7 +63,9 @@ out_option = click.option(
 
 
 class _Main(click.Group):
-    """The error boundary: IngestError and PolicyError exit 1 with a message."""
+    """The error boundary: IngestError, PolicyError and an OSError such as
+    a full disk under stdout exit 1 with a message. A closed pipe (EPIPE)
+    is left to click, which exits 1 without one."""
 
     def invoke(self, ctx):
         try:
@@ -71,6 +75,10 @@ class _Main(click.Group):
                 click.echo(f"error: {d}", err=True)
         except PolicyError as exc:
             click.echo(str(exc), err=True)
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            raise click.ClickException(str(exc)) from None
         raise SystemExit(1)
 
 
@@ -195,6 +203,16 @@ def mst(input_path, null_mode, fmt, out):
     else:
         artifact = export.export_pruned_csv(result)
     _write_out(artifact.text, out)
+
+
+@main.command()
+@click.argument("name")
+@input_option
+@out_option
+def table(name, input_path, out):
+    """Print one checkmark table as markdown: a row per category, a column per trait."""
+    model = ingest.load_bundled_dataset(input_path)
+    _write_out(export.export_table_markdown(model, name).text, out)
 
 
 @main.command()

@@ -18,8 +18,7 @@ from .model import (
     PolicyError,
     TaxonomyModel,
     TaxonomyNode,
-    build_tree,
-    iter_tree,
+    iter_tree,  # re-exported: perfbench times the walk as enumeration.iter_tree
 )
 
 
@@ -114,14 +113,6 @@ def count_checkmarks(
     return Counter(mark[group] for mark in _checkmarks(model, flt, expand_subtraits))
 
 
-def tree_leaf_category_ids(model: TaxonomyModel) -> list[str]:
-    return [
-        node.category_ref
-        for node, _ in iter_tree(model)
-        if node.category_ref is not None
-    ]
-
-
 def lookup(
     model: TaxonomyModel, name_or_id: str
 ) -> Union[PolicyCategory, TaxonomyNode]:
@@ -162,8 +153,6 @@ __all__ = [
     "EnumerationFilter",
     "enumerate_schemas",
     "count_checkmarks",
-    "build_tree",
     "iter_tree",
-    "tree_leaf_category_ids",
     "lookup",
 ]

@@ -259,25 +259,6 @@ def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
                     stack.append((child, depth + 1))
 
 
-def models_equivalent(a: TaxonomyModel, b: TaxonomyModel) -> bool:
-    """Order-insensitive model comparison (used for merge algebra)."""
-
-    def key(model: TaxonomyModel):
-        return (
-            frozenset(model.traits),
-            frozenset(model.categories),
-            frozenset(model.nodes),
-            model.root_id,
-            frozenset(model.channels),
-            frozenset(
-                (t.name, t.title, t.trait_columns, frozenset(t.rows))
-                for t in model.tables
-            ),
-        )
-
-    return key(a) == key(b)
-
-
 def table_marks(tables: Iterable[CheckTable]) -> dict[str, set[str]]:
     """Each category's checkmarked trait ids, over the rows of all tables."""
     marks: dict[str, set[str]] = {}
@@ -417,15 +398,10 @@ def _kind_clashes(
 def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Finding]:
     """A name that a category, a trait marked for it or one of that trait's
     subtraits declare with different kinds can bind no value; the later
-    declaration is flagged. Reads the table rows, not the trait-set view."""
+    declaration is flagged. Reads the table marks, not the trait-set view."""
     owners = {c.id: c for c in model.categories if c.own_parameters}
-    marked: set[str] = set()
-    pairs: dict[tuple[str, str], None] = {}
-    for table in model.tables:
-        for row in table.rows:
-            marked.update(row.marks)
-            if row.category_id in owners:
-                pairs.update(dict.fromkeys((row.category_id, mark) for mark in row.marks))
+    marks = table_marks(model.tables)
+    marked = set().union(*marks.values())
 
     for trait in model.traits:
         if trait.id in marked:
@@ -434,15 +410,13 @@ def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Finding]:
             for sub in trait.subtraits:
                 yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
 
-    for category_id, trait_id in pairs:
-        trait = model.trait(trait_id)
-        if trait is None:
-            continue
-        path = f"/traits/{trait.id}"
+    for category_id in marks.keys() & owners.keys():
         first = _first_kinds(owners[category_id].own_parameters, f"/categories/{category_id}")
-        yield from _kind_clashes(first, trait.parameters, path)
-        for sub in trait.subtraits:
-            yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
+        for trait in filter(None, map(model.trait, marks[category_id])):
+            path = f"/traits/{trait.id}"
+            yield from _kind_clashes(first, trait.parameters, path)
+            for sub in trait.subtraits:
+                yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
 
 
 def _findings(model: TaxonomyModel) -> Iterator[Finding]:
@@ -575,7 +549,6 @@ __all__ = [
     "AtomicPolicySchema",
     "AtomicPolicy",
     "TaxonomyModel",
-    "models_equivalent",
     "table_marks",
     "build_tree",
     "iter_tree",

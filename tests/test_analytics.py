@@ -15,7 +15,6 @@ from polytax.analytics import (
     euclidean_distance,
     kruskal_mst,
     pearson_correlation,
-    signal_series,
     trait_less_category_ids,
 )
 from polytax.model import PolicyError
@@ -115,7 +114,7 @@ def test_include_mode_shape(model):
 
 def test_tax_amnesty_row_is_all_false(model):
     tm = build_trait_matrix(model, "include")
-    assert not tm.row("tax-amnesty").any()
+    assert not tm.cells[tm.row_labels.index("tax-amnesty")].any()
 
 
 def test_collapse_mode_has_single_null_row(model):
@@ -151,8 +150,8 @@ def test_bad_null_mode(model):
 
 def test_inheritance_tax_signal(model):
     tm = build_trait_matrix(model)
-    series = signal_series(tm, "inheritance-tax")
-    on = {t for t, v in zip(tm.col_labels, series.values) if v}
+    series = tm.cells[tm.row_labels.index("inheritance-tax")]
+    on = {t for t, v in zip(tm.col_labels, series) if v}
     assert on == {
         "tax-calculation-type", "tax-base", "tax-payment-type",
         "tax-evasion-penalty", "allowance", "abatement", "exemption",
@@ -162,22 +161,12 @@ def test_inheritance_tax_signal(model):
 
 def test_helicopter_money_signal_is_zero(model):
     tm = build_trait_matrix(model)
-    assert set(signal_series(tm, "helicopter-money").values) == {0}
+    assert not tm.cells[tm.row_labels.index("helicopter-money")].any()
 
 
 def test_signal_sums_equal_checkmark_total(model):
     tm = build_trait_matrix(model, "include")
-    total = sum(
-        sum(signal_series(tm, label).values) for label in tm.row_labels
-    )
-    assert total == 262
-
-
-def test_signal_series_missing_row(model):
-    tm = build_trait_matrix(model)
-    with pytest.raises(PolicyError) as exc:
-        signal_series(tm, "window-tax")
-    assert exc.value.code == "E_NOT_FOUND"
+    assert int(tm.cells.sum()) == 262
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def test_tie_break_is_lexicographic():
 def test_single_node():
     mst = kruskal_mst(DistanceMatrix(("only",), np.zeros((1, 1))))
     assert mst.edges == ()
-    assert mst.adjacency.shape == (1, 1)
+    assert mst.pruned.cells.tolist() == [[0.0]]
 
 
 def test_empty_matrix_rejected():
@@ -396,20 +385,14 @@ def test_mst_on_bundled_dataset(model, null_mode):
     mst = kruskal_mst(dist)
     n = len(tm.row_labels)
     assert_spanning_tree(mst.edges, n)
-    # adjacency and pruned grid agree with the edge list
+    # the pruned grid agrees with the edge list: symmetric, 0 on the
+    # diagonal and NaN off the tree
+    pruned = mst.pruned.cells
     for i, j, w in mst.edges:
-        assert mst.adjacency[i, j] == mst.adjacency[j, i] == 1
-        assert mst.pruned.cells[i, j] == pytest.approx(w, abs=1e-9)
-    assert int(mst.adjacency.sum()) == 2 * len(mst.edges)
-    assert (np.diag(mst.adjacency) == 0).all()
+        assert pruned[i, j] == pruned[j, i] == pytest.approx(w, abs=1e-9)
+    assert (np.diag(pruned) == 0).all()
     non_edges = n * n - n - 2 * len(mst.edges)
-    missing = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if i != j and np.isnan(mst.pruned.cells[i, j])
-    )
-    assert missing == non_edges
+    assert int(np.isnan(pruned).sum()) == non_edges
 
 
 def tie_heavy_distances(rng, n, duplicate_labels, asymmetric):

@@ -1,5 +1,9 @@
+import ast
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +231,7 @@ BAD_INPUTS = {
         ["mst", "--null-mode", "exclude", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"
     ),
     "tree-without-tree": (["tree", "--input", "@one-category"], {}, 1, "E_NOT_FOUND"),
+    "table-unknown": (["table", "nope"], {}, 1, "E_NOT_FOUND: unknown table 'nope'"),
     "count-by-bad-table": (
         ["policies", "count", "--by", "table", "--table", "nosuch"], {}, 1, "E_BAD_FILTER"
     ),
@@ -297,6 +302,15 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
     assert "Traceback" not in result.stderr
 
 
+def subprocess_env():
+    """The environment for a python subprocess that imports this polytax
+    and reads the bundled dataset."""
+    src = str(Path(polytax.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(ingest.DATA_ENV_VAR, None)
+    return env
+
+
 # Imports polytax, then runs each command of argv lists in turn; numpy must
 # stay unloaded until the mst command, which must load it.
 COLD_PATH_SCRIPT = """
@@ -321,13 +335,11 @@ def test_taxonomy_commands_do_not_import_numpy(dataset_file):
         ["policies", "count"],
         ["show", "personal-income-tax"],
         ["merge", dataset_file, extension],
+        ["table", "income-tax"],
     ]
-    src = str(Path(polytax.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("POLYTAX_DATA", None)
     result = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
@@ -340,3 +352,77 @@ def test_analytics_names_resolve_on_first_access():
     assert NULL_MODES is polytax.model.NULL_MODES
     with pytest.raises(AttributeError, match="no_such_name"):
         polytax.no_such_name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["tree"], ["show", "Carucage"]])
+def test_unwritable_stdout_exits_one_without_traceback(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "polytax.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, env=subprocess_env(), text=True, timeout=120,
+        )
+    assert result.returncode == 1
+    assert result.stderr == "Error: [Errno 28] No space left on device\n"
+
+
+def test_closed_pipe_stays_quiet(dataset_file):
+    extension = str(Path(__file__).parent / "golden" / "extension.json")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polytax.cli", "merge", dataset_file, extension],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    # The merged document (~120 kB) outgrows a 64 KiB pipe buffer, so a
+    # write meets the closed pipe.
+    assert proc.returncode == 1
+    assert err == b""
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def referenced_names(source):
+    """Names a module reads, attributes it takes and strings it holds,
+    outside the __all__ and _ANALYTICS lists; definitions and imports
+    are not references."""
+    tree = ast.parse(source)
+    listed = {
+        id(node)
+        for assign in ast.walk(tree)
+        if isinstance(assign, ast.Assign)
+        and any(getattr(t, "id", None) in ("__all__", "_ANALYTICS") for t in assign.targets)
+        for node in ast.walk(assign.value)
+    }
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller_or_a_readme_entry():
+    """Each name in a module's __all__ and in the package's lazy analytics
+    names resolves, and the package or perfbench refers to it, or README
+    names it."""
+    sources = [*(ROOT / "src" / "polytax").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    referenced = {
+        name for path in sources for name in referenced_names(path.read_text(encoding="utf-8"))
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    public = [(polytax, name) for name in sorted(polytax._ANALYTICS)]
+    for info in pkgutil.iter_modules(polytax.__path__):
+        module = importlib.import_module(f"polytax.{info.name}")
+        public += [(module, name) for name in getattr(module, "__all__", ())]
+
+    orphans = []
+    for module, name in public:
+        getattr(module, name)
+        if name not in referenced and not re.search(rf"\b{name}\b", readme):
+            orphans.append(f"{module.__name__}.{name}")
+    assert orphans == []

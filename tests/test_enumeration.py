@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from polytax import ingest
 from polytax.enumeration import (
     EnumerationFilter,
-    build_tree,
     count_checkmarks,
     enumerate_schemas,
-    iter_tree,
     lookup,
-    tree_leaf_category_ids,
 )
-from polytax.model import PolicyError
+from polytax.model import PolicyError, build_tree, iter_tree
 
 from .strategies import taxonomy_models
 
@@ -185,7 +182,7 @@ def test_forward_guidance_path(model):
 
 
 def test_every_category_is_exactly_one_leaf(model):
-    leaves = tree_leaf_category_ids(model)
+    leaves = [node.category_ref for node, _ in iter_tree(model) if node.category_ref is not None]
     assert sorted(leaves) == sorted(c.id for c in model.categories)
 
 

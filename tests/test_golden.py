@@ -25,6 +25,7 @@ ARTIFACTS = {
     "policies-list-expand": ["policies", "list", "--expand-subtraits"],
     "policies-count-by-trait": ["policies", "count", "--by", "trait"],
     "show": ["show", "Forward Guidance"],
+    "table-income-tax": ["table", "income-tax"],
     "validate": ["validate", "{dataset}"],
     "merge": ["merge", "{dataset}", str(GOLDEN / "extension.json")],
     **{

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytax import ingest
-from polytax.enumeration import iter_tree
 from polytax.export import export_tree_text
 from polytax import model as M
-from polytax.model import models_equivalent
+from polytax.model import iter_tree
 
 from .strategies import taxonomy_models
 
@@ -301,6 +300,25 @@ def test_merge_diagnostics_are_sorted(model):
 
 def test_merge_empty_extension_is_identity(model):
     assert ingest.merge_extension(model, {}) == model
+
+
+def models_equivalent(a, b):
+    """Order-insensitive model comparison (used for merge algebra)."""
+
+    def key(model):
+        return (
+            frozenset(model.traits),
+            frozenset(model.categories),
+            frozenset(model.nodes),
+            model.root_id,
+            frozenset(model.channels),
+            frozenset(
+                (t.name, t.title, t.trait_columns, frozenset(t.rows))
+                for t in model.tables
+            ),
+        )
+
+    return key(a) == key(b)
 
 
 def test_merge_disjoint_extensions_commute(model):
