@@ -6,8 +6,10 @@ as the shortest repr of their float64 value; since analytics computes
 them from exact integer counts, the CSV bytes do not depend on the BLAS,
 and few values are distinct, so each distinct bit pattern is formatted
 once per export. Undefined cells (NaN: correlations of constant rows,
-non-tree cells of the MST-pruned distances) become empty fields. Labels
-are quoted per RFC 4180 when they hold a comma, quote, CR or LF.
+non-tree cells of the MST-pruned distances) become empty fields. The
+pruned CSV is written from the tree's edge list, one row at a time, never
+from an n x n grid. Labels are quoted per RFC 4180 when they hold a comma,
+quote, CR or LF.
 """
 from __future__ import annotations
 
@@ -93,6 +95,10 @@ def export_mst_dot(mst: MstResult) -> ExportArtifact:
     return ExportArtifact("\n".join(lines) + "\n")
 
 
+def _float_text(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
 class _CellText(dict):
     """Memo from a cell's key to its CSV text, filled on first lookup.
 
@@ -107,8 +113,7 @@ class _CellText(dict):
 
     def __missing__(self, key: int) -> str:
         if self.floats:
-            value = struct.unpack("d", struct.pack("Q", key))[0]
-            text = "" if math.isnan(value) else repr(value)
+            text = _float_text(struct.unpack("d", struct.pack("Q", key))[0])
         else:
             text = str(int(key))
         self[key] = text
@@ -130,6 +135,17 @@ def _csv_line(fields: list[str]) -> str:
     return '""' if fields == [""] else ",".join(fields)
 
 
+def _csv_text(cols: Iterable[str], rows: Iterable[tuple[str, Iterable[str]]]) -> str:
+    """A header of the column labels, then each (label, cell texts) row."""
+    # One growing buffer: holding every row string until a final join left
+    # the heap ~15 MB larger at n=1000.
+    buf = io.StringIO()
+    buf.write(_csv_line([_csv_field(label) for label in ("", *cols)]) + "\n")
+    for label, cells in rows:
+        buf.write(_csv_line([_csv_field(label), *cells]) + "\n")
+    return buf.getvalue()
+
+
 def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) -> ExportArtifact:
     """RFC-4180-style CSV: header row of column labels, label column first.
 
@@ -144,19 +160,34 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
 
     floats = matrix.cells.dtype.kind == "f"
     text = _CellText(floats)
-    # One growing buffer: holding every row string until a final join left
-    # the heap ~15 MB larger at n=1000.
-    buf = io.StringIO()
-    buf.write(_csv_line([_csv_field(label) for label in ("", *cols)]) + "\n")
-    for label, row in zip(rows, matrix.cells):
-        keys = row.astype("f8", copy=False).view("u8").tolist() if floats else row.tolist()
-        buf.write(_csv_line([_csv_field(label), *map(text.__getitem__, keys)]) + "\n")
-    return ExportArtifact(buf.getvalue())
+
+    def lines():
+        for label, row in zip(rows, matrix.cells):
+            keys = row.astype("f8", copy=False).view("u8").tolist() if floats else row.tolist()
+            yield label, map(text.__getitem__, keys)
+
+    return ExportArtifact(_csv_text(cols, lines()))
 
 
 def export_pruned_csv(mst: MstResult) -> ExportArtifact:
-    """The MST-pruned distance matrix as CSV; non-tree cells are empty."""
-    return export_matrix_csv(mst.pruned)
+    """The MST-pruned distance matrix as CSV: 0.0 on the diagonal, the tree
+    edge weights, and empty fields off the tree."""
+    n = len(mst.labels)
+    tree: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    for i, j, weight in mst.edges:
+        text = _float_text(weight)
+        tree[i].append((j, text))
+        tree[j].append((i, text))
+
+    def lines():
+        for i, label in enumerate(mst.labels):
+            cells = [""] * n
+            cells[i] = "0.0"
+            for j, text in tree[i]:
+                cells[j] = text
+            yield label, cells
+
+    return ExportArtifact(_csv_text(mst.labels, lines()))
 
 
 def _md_cell(text: str) -> str:

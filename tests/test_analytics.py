@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,57 @@ def reference_kruskal(dist):
     )
     uf = UnionFind(n)
     return MstResult(labels, tuple((i, j, w) for w, _, i, j in candidates if uf.union(i, j)))
+
+
+def lexsort_kruskal(dist):
+    """The MST under the module's edge order, from one np.lexsort of every edge.
+
+    Each edge (i, j), i < j, gets its position in the order weight, then
+    sorted label ranks, then (i, j); a dense Prim over those positions finds
+    the tree, whose positions sorted give its edges in order. np.lexsort
+    orders -0.0 equal to 0.0 and NaN after +inf.
+    """
+    labels = dist.labels
+    n = len(labels)
+    rank_of = {label: r for r, label in enumerate(sorted(set(labels)))}
+    rank = np.array([rank_of[label] for label in labels], dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    order = np.lexsort(
+        (np.maximum(rank[i], rank[j]), np.minimum(rank[i], rank[j]), dist.cells[i, j])
+    )
+    position = np.zeros((n, n), dtype=np.int64)
+    position[i[order], j[order]] = position[j[order], i[order]] = np.arange(len(order))
+
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = position[0].copy()
+    taken = np.empty(n - 1, dtype=np.int64)
+    never = np.iinfo(np.int64).max
+    for t in range(n - 1):
+        v = int(np.argmin(np.where(in_tree, never, best)))
+        taken[t] = best[v]
+        in_tree[v] = True
+        best = np.minimum(best, position[v])
+    chosen = order[np.sort(taken)]
+    edges = tuple(
+        (int(a), int(b), float(dist.cells[a, b])) for a, b in zip(i[chosen], j[chosen])
+    )
+    return MstResult(labels, edges)
+
+
+def pruned_grid(mst):
+    """The dense pruned matrix: tree edge weights, 0 on the diagonal, NaN off the tree."""
+    n = len(mst.labels)
+    cells = np.full((n, n), np.nan)
+    np.fill_diagonal(cells, 0.0)
+    for i, j, weight in mst.edges:
+        cells[i, j] = cells[j, i] = weight
+    return DistanceMatrix(mst.labels, cells)
+
+
+def edge_bits(edges):
+    """Edges with each weight as its float64 bits, so NaN equals NaN and -0.0 is not 0.0."""
+    return tuple((i, j, struct.pack("d", w)) for i, j, w in edges)
 
 
 def assert_spanning_tree(edges, n):
@@ -340,9 +393,8 @@ def test_tie_break_is_lexicographic():
 
 
 def test_single_node():
-    mst = kruskal_mst(DistanceMatrix(("only",), np.zeros((1, 1))))
-    assert mst.edges == ()
-    assert mst.pruned.cells.tolist() == [[0.0]]
+    dist = DistanceMatrix(("only",), np.zeros((1, 1)))
+    assert kruskal_mst(dist).edges == lexsort_kruskal(dist).edges == ()
 
 
 def test_empty_matrix_rejected():
@@ -385,14 +437,6 @@ def test_mst_on_bundled_dataset(model, null_mode):
     mst = kruskal_mst(dist)
     n = len(tm.row_labels)
     assert_spanning_tree(mst.edges, n)
-    # the pruned grid agrees with the edge list: symmetric, 0 on the
-    # diagonal and NaN off the tree
-    pruned = mst.pruned.cells
-    for i, j, w in mst.edges:
-        assert pruned[i, j] == pruned[j, i] == pytest.approx(w, abs=1e-9)
-    assert (np.diag(pruned) == 0).all()
-    non_edges = n * n - n - 2 * len(mst.edges)
-    assert int(np.isnan(pruned).sum()) == non_edges
 
 
 def tie_heavy_distances(rng, n, duplicate_labels, asymmetric):
@@ -419,7 +463,67 @@ def test_mst_edges_equal_reference_kruskal():
     rng = random.Random(20261018)
     for case in range(800):
         dist = tie_heavy_distances(rng, rng.randint(1, 25), case % 2 == 1, case % 4 >= 2)
-        assert kruskal_mst(dist).edges == reference_kruskal(dist).edges, dist
+        edges = kruskal_mst(dist).edges
+        assert edges == reference_kruskal(dist).edges, dist
+        assert edge_bits(edges) == edge_bits(lexsort_kruskal(dist).edges), dist
+
+
+SPECIAL_WEIGHTS = (0.0, -0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan, -math.nan)
+
+
+def special_distances(rng, n, labels=("A", "B", "B\0", "C")):
+    """Asymmetric cells drawn from SPECIAL_WEIGHTS, labels drawn with repeats."""
+    cells = np.array([[rng.choice(SPECIAL_WEIGHTS) for _ in range(n)] for _ in range(n)])
+    return DistanceMatrix(tuple(rng.choice(labels) for _ in range(n)), cells)
+
+
+@pytest.mark.parametrize("upper", [
+    # +inf on every edge out of vertex 0: a Prim that masks the tree with
+    # +inf can take a tree vertex next and emit a self-loop.
+    pytest.param([[0, math.inf, math.inf], [0, 0, 1.0], [0, 0, 0]], id="inf"),
+    # Only +inf edges: a tree vertex that keeps its tie key can win again.
+    pytest.param([[0, math.inf, math.inf, math.inf], [0, 0, math.inf, math.inf],
+                  [0, 0, 0, math.inf], [0, 0, 0, 0]], id="inf-only"),
+    # NaN sorts after +inf; a float comparison never takes a NaN edge.
+    pytest.param([[0, math.nan, 1.0], [0, 0, math.nan], [0, 0, 0]], id="nan"),
+    pytest.param([[0, math.nan, math.nan], [0, 0, math.nan], [0, 0, 0]], id="nan-only"),
+    pytest.param([[0, math.nan, math.inf, 1.0], [0, 0, math.inf, math.nan],
+                  [0, 0, 0, math.nan], [0, 0, 0, 0]], id="inf-and-nan"),
+    # -0.0 ties with 0.0 and loses on the label pair.
+    pytest.param([[0, 0.0, -0.0], [0, 0, -0.0], [0, 0, 0]], id="negative-zero"),
+])
+def test_mst_orders_special_weights_as_lexsort(upper):
+    n = len(upper)
+    # The lower triangle disagrees everywhere: only the upper one counts.
+    cells = np.triu(np.array(upper, dtype=float), 1) + np.tril(np.full((n, n), -5.0), -1)
+    dist = DistanceMatrix(tuple("CBAD"[:n]), cells)
+    edges = kruskal_mst(dist).edges
+    assert_spanning_tree(edges, n)
+    assert edge_bits(edges) == edge_bits(lexsort_kruskal(dist).edges)
+
+
+def test_mst_edges_equal_lexsort_kruskal_on_special_weights():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        dist = special_distances(rng, rng.randint(1, 8))
+        edges = kruskal_mst(dist).edges
+        assert_spanning_tree(edges, len(dist.labels))
+        assert edge_bits(edges) == edge_bits(lexsort_kruskal(dist).edges), dist
+
+
+def test_mst_memory_is_linear_at_n2000():
+    rng = np.random.default_rng(2000)
+    cells = rng.random((2000, 64)) < 0.3
+    tm = TraitMatrix(tuple(f"r{i}" for i in range(2000)), tuple(f"c{k}" for k in range(64)), cells)
+    dist = euclidean_distance(tm)
+    tracemalloc.start()
+    try:
+        mst = kruskal_mst(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_spanning_tree(mst.edges, 2000)
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import math
+import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from polytax.export import (
     slugify,
 )
 from polytax.model import PolicyError, TaxonomyModel, TaxonomyNode
+
+from .test_analytics import pruned_grid, special_distances
 
 
 # The per-cell writer that export_matrix_csv replaced, kept as its byte oracle.
@@ -211,6 +215,26 @@ def test_pruned_csv_has_empty_non_tree_cells(model):
     n = len(tm.row_labels)
     empty = sum(1 for r in rows[1:] for c in r[1:] if c == "")
     assert empty == n * n - n - 2 * len(mst.edges)
+
+
+@pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])
+def test_pruned_csv_equals_dense_grid_csv_on_bundled_dataset(model, null_mode):
+    mst = kruskal_mst(euclidean_distance(build_trait_matrix(model, null_mode)))
+    assert export_pruned_csv(mst).text == export_matrix_csv(pruned_grid(mst)).text
+
+
+def test_pruned_csv_equals_dense_grid_csv():
+    # Labels that need quoting, repeated; weights with NaN and -0.0.
+    labels = ("a,b", 'say "hi"', "bare\rCR", "line\nfeed", "a,b", "plain", "")
+    rng = random.Random(20261020)
+    weights = set()
+    for n in [1, 1] + [rng.randint(2, 7) for _ in range(300)]:
+        dist = special_distances(rng, n, labels)
+        mst = kruskal_mst(dist)
+        assert export_pruned_csv(mst).text == export_matrix_csv(pruned_grid(mst)).text, dist
+        weights.update(struct.pack("d", w) for _, _, w in mst.edges)
+    assert struct.pack("d", -0.0) in weights
+    assert any(math.isnan(struct.unpack("d", w)[0]) for w in weights)
 
 
 def test_markdown_table_mirrors_rows(model):
