@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from polytax.analytics import (
 )
 from polytax.enumeration import enumerate_schemas, iter_tree
 from polytax.export import (
+    _BLOCK_ROWS,
     export_matrix_csv,
     export_mst_dot,
     export_pruned_csv,
@@ -284,6 +286,18 @@ def _oracle_cases():
     yield TraitMatrix(ODD_LABELS, (), np.zeros((len(ODD_LABELS), 0), dtype=bool))
     yield TraitMatrix(("solo",), ODD_LABELS, np.ones((1, len(ODD_LABELS)), dtype=bool))
     yield DistanceMatrix(("", "x"), np.array([[-0.0, PAYLOAD_NAN], [np.nan, 0.0]]))
+    yield CorrelationMatrix((), np.zeros((0, 0)))
+    yield TraitMatrix((), (), np.zeros((0, 0), dtype=bool))
+    # Thousands of distinct values share 4-8 hash slots per key, so slot
+    # collisions are certain; row counts straddle the block size.
+    for n in (101, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
+        labels = tuple(f"r{i}" for i in range(n))
+        distinct = rng.standard_normal((n, n))
+        yield CorrelationMatrix(labels, distinct)
+        specials = rng.choice((-0.0, 0.0, np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324), (n, n))
+        yield DistanceMatrix(labels, np.where(rng.random((n, n)) < 0.2, specials, distinct))
+        yield TraitMatrix(labels, labels[:7], rng.random((n, 7)) < 0.5)
+    yield TraitMatrix(("a", "b"), ("x", "y", "z"), rng.integers(-3, 4, size=(2, 3)))
 
 
 @pytest.mark.parametrize("matrix", list(_oracle_cases()))
@@ -293,6 +307,25 @@ def test_matrix_csv_matches_per_cell_writer(matrix):
     else:
         rows = cols = matrix.labels
     assert export_matrix_csv(matrix).text == reference_matrix_csv(rows, cols, matrix.cells)
+
+
+def test_matrix_csv_peak_memory_at_n1000():
+    # Rows are coded a block at a time, so the peak is nearly all the output
+    # text: the per-cell writer this replaced peaked at 39.3 MiB here, and an
+    # n x n code or object array would add 4-8 MiB.
+    rng = np.random.default_rng(1000)
+    tm = TraitMatrix(
+        tuple(f"r{i}" for i in range(1000)), tuple(f"c{k}" for k in range(64)),
+        rng.random((1000, 64)) < 0.3,
+    )
+    corr = pearson_correlation(tm)
+    tracemalloc.start()
+    try:
+        export_matrix_csv(corr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (39.3 + 2) * 2**20, peak / 2**20
 
 
 def test_zero_column_matrix_csv_bytes():

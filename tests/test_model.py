@@ -16,7 +16,11 @@ from polytax.model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
+    _first_kinds,
+    _kind_clashes,
+    _validate_parameter_kinds,
     instantiate_atomic_policy,
+    table_marks,
     validate_model,
 )
 
@@ -453,6 +457,72 @@ def test_same_named_parameters_each_check_the_value():
         with pytest.raises(PolicyError) as exc:
             instantiate_atomic_policy(m, "c", "t", None, {"x": value})
         assert exc.value.code == "E_BINDING"
+
+
+def _kind_findings_from_all_marks(model):
+    """The parameter-kind check as it read before: a mark set for every
+    category, kept as the oracle of the one-walk version."""
+    owners = {c.id: c for c in model.categories if c.own_parameters}
+    marks = table_marks(model.tables)
+    marked = set().union(*marks.values())
+    for trait in model.traits:
+        if trait.id in marked:
+            path = f"/traits/{trait.id}"
+            first = _first_kinds(trait.parameters, path)
+            for sub in trait.subtraits:
+                yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
+    for category_id in marks.keys() & owners.keys():
+        first = _first_kinds(owners[category_id].own_parameters, f"/categories/{category_id}")
+        for trait in filter(None, map(model.trait, marks[category_id])):
+            path = f"/traits/{trait.id}"
+            yield from _kind_clashes(first, trait.parameters, path)
+            for sub in trait.subtraits:
+                yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
+
+
+def clashing_model(rng: random.Random, n_categories: int) -> TaxonomyModel:
+    """Parameters named from a pool of three with random kinds, so kinds
+    clash often; categories sit in several tables, some twice, some not at
+    all, and rows mark unknown traits and unknown categories."""
+    def params():
+        return tuple(
+            ParameterSpec(rng.choice("xyz"), rng.choice(("rate", "amount", "condition")))
+            for _ in range(rng.randint(0, 2))
+        )
+
+    traits = tuple(
+        TraitDef(
+            f"t{i}", f"T{i}", parameters=params(),
+            subtraits=tuple(SubtraitDef(f"s{j}", f"S{j}", params()) for j in range(rng.randint(0, 3))),
+        )
+        for i in range(20)
+    )
+    ids = [f"c{i}" for i in range(n_categories)] + ["c0"]  # one duplicate id
+    categories = tuple(
+        PolicyCategory(c, c, own_parameters=params() if rng.random() < 0.3 else ())
+        for c in ids
+    )
+    columns = tuple(t.id for t in traits) + ("ghost",)
+    tables = tuple(
+        CheckTable(name, name, columns, tuple(
+            TableRow(c, tuple(rng.sample(columns, rng.randint(0, 4))))
+            for c in rng.sample(ids + ["nobody"], n_categories // 2)
+        ))
+        for name in ("a", "b", "c")
+    )
+    return TaxonomyModel(traits=traits, categories=categories, tables=tables)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parameter_kind_findings_equal_the_per_category_mark_sets(seed):
+    m = clashing_model(random.Random(seed), n_categories=40 * (seed + 1))
+    expected = sorted(_kind_findings_from_all_marks(m))
+    assert sorted(_validate_parameter_kinds(m)) == expected
+    # The old body's own order followed set iteration; validate_model's is pinned.
+    reported = [f for f in triples(validate_model(m)) if " here but " in f[2]]
+    assert reported == expected
+    assert any(" at /categories/" in message for _, _, message in expected)
+    assert any(" at /traits/" in message for _, _, message in expected)
 
 
 def test_checkmark_sweep_matches_tables(model):
