@@ -140,12 +140,12 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
     Booleans become 0/1, floats the repr of their float64 value, and
     undefined (NaN) cells empty fields. A cell's key is its float64 bit
     pattern, or its value in a bool or int matrix, so -0.0 and 0.0 stay
-    apart and NaNs of one payload share a key. One sort gives the distinct keys, and each
-    is formatted once. A block of rows at a time, each cell's index into
-    the keys comes from a multiplicative hash of its key; the key at that
-    index is compared with the cell's, and where they differ a binary search
-    finds the index, so the bytes never depend on the hash. Only a row's
-    join is per-cell Python work.
+    apart and NaNs of one payload share a key. One sort gives the distinct
+    keys, and each is formatted once. A block of rows at a time, each
+    cell's index into the keys comes from a multiplicative hash of its key;
+    the key at that index is compared with the cell's, and where they
+    differ a binary search finds the index, so the bytes never depend on
+    the hash. Only a row's join is per-cell Python work.
     """
     import numpy as np
 
@@ -155,15 +155,14 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
         rows, cols = matrix.row_labels, matrix.col_labels
 
     cells = matrix.cells
-    floats = cells.dtype.kind == "f"
-    dtype = "f8" if floats else "i8"
+    dtype = {"f": "f8", "i": "i8"}.get(cells.dtype.kind, "u8")  # bool and uint: u8
     ordered = np.sort(cells.astype(dtype, copy=False).view("u8"), axis=None)
     distinct = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
     keys = ordered[distinct]
     counts = np.diff(np.flatnonzero(distinct), append=ordered.size)
     del ordered, distinct  # an n x n copy, not to be held while writing
-    text = _float_text if floats else str
+    text = _float_text if dtype == "f8" else str
     texts = np.array([text(v) for v in keys.view(dtype).tolist()], dtype=object)
 
     # 4-8 slots per key. Keys are written rarest first, so where keys share
@@ -173,7 +172,7 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
     slot_bits = (4 * len(keys) - 1).bit_length()
     shift, golden = np.uint64(64 - slot_bits), np.uint64(_GOLDEN)
     table = np.zeros(1 << slot_bits, dtype=np.int32)
-    by_count = np.argsort(counts, kind="stable").astype(np.int32)
+    by_count = np.argsort(counts).astype(np.int32)
     table[(keys[by_count] * golden) >> shift] = by_count
 
     def lines():

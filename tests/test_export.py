@@ -298,6 +298,7 @@ def _oracle_cases():
         yield DistanceMatrix(labels, np.where(rng.random((n, n)) < 0.2, specials, distinct))
         yield TraitMatrix(labels, labels[:7], rng.random((n, 7)) < 0.5)
     yield TraitMatrix(("a", "b"), ("x", "y", "z"), rng.integers(-3, 4, size=(2, 3)))
+    yield TraitMatrix(("a",), ("x", "y"), np.array([[2**64 - 1, 5]], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("matrix", list(_oracle_cases()))
