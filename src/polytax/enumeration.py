@@ -5,6 +5,8 @@ category's marks over all tables are TaxonomyModel.implementable_trait_ids.
 Order is deterministic: table order, then row order, then trait-column
 order, and subtrait expansion follows subtrait definition order. Listing
 and counting read one walk, so a filtered count is the length of the list.
+enumerate_schemas pauses the cyclic garbage collector while it builds the
+list, as ingest's bulk builders do; the pause is process-wide.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .model import (
     PolicyError,
     TaxonomyModel,
     TaxonomyNode,
+    _collection_paused,
     iter_tree,  # re-exported: perfbench times the walk as enumeration.iter_tree
 )
 
@@ -85,6 +88,7 @@ def _checkmarks(
                     yield table.name, row.category_id, trait_id, None
 
 
+@_collection_paused()
 def enumerate_schemas(
     model: TaxonomyModel,
     flt: Optional[EnumerationFilter] = None,

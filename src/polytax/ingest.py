@@ -10,6 +10,13 @@ and a file that cannot be read, decoded or nested as deeply gives
 E_SYNTAX. The tables alone say which traits a category can implement
 (TaxonomyModel.implementable_trait_ids); a category's inline
 implementable_trait_ids key is only checked against its table rows.
+
+parse_taxonomy_document, parse_document_dict, load_model_from_path,
+merge_extension and serialize_taxonomy_document pause the cyclic garbage
+collector (model._collection_paused) for the whole call, JSON decoding
+included: what they build holds no reference cycles, so a collection there
+frees nothing. The pause is process-wide; while it runs, no thread gets a
+cyclic collection.
 """
 from __future__ import annotations
 
@@ -17,7 +24,6 @@ import json
 import os
 import re
 from dataclasses import replace
-from importlib import resources
 from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Any, Optional
@@ -33,6 +39,7 @@ from .model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
+    _collection_paused,
     iter_tree,
     table_marks,
     validate_model,
@@ -41,6 +48,9 @@ from .model import (
 SCHEMA_VERSION = "1"
 
 BUNDLED_DATASET = "core-dataset.taxonomy.json"
+
+# The shipped dataset, read from beside this module.
+_BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", BUNDLED_DATASET)
 
 DATA_ENV_VAR = "POLYTAX_DATA"
 
@@ -229,14 +239,15 @@ def _syntax_error(exc: Exception, path: str = "/") -> IngestError:
 
 
 def decode_document(data: str | bytes) -> Any:
-    """Decode UTF-8 JSON text; undecodable or too deeply nested input raises
-    IngestError (E_SYNTAX)."""
+    """Decode UTF-8 JSON text; undecodable or too deeply nested input, or an
+    integer literal longer than int() converts, raises IngestError (E_SYNTAX)."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _syntax_error(exc, f"/line/{exc.lineno}") from None
-    except (UnicodeDecodeError, RecursionError) as exc:
+    # ValueError: a UnicodeDecodeError, or int()'s digit limit (4,300 by default).
+    except (ValueError, RecursionError) as exc:
         raise _syntax_error(exc) from None
 
 
@@ -251,6 +262,7 @@ def read_document(path: str) -> Any:
     return decode_document(data)
 
 
+@_collection_paused()
 def parse_taxonomy_document(
     text: str | bytes,
 ) -> tuple[Optional[TaxonomyModel], list[Diagnostic]]:
@@ -267,6 +279,7 @@ def parse_taxonomy_document(
     return parse_document_dict(doc)
 
 
+@_collection_paused()
 def parse_document_dict(
     doc: Any,
 ) -> tuple[Optional[TaxonomyModel], list[Diagnostic]]:
@@ -435,6 +448,7 @@ def _dumps(value: Any) -> str:
     return "".join(chunks)
 
 
+@_collection_paused()
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
     """Deterministic text such that parse(serialize(m)) == m: the bytes of
     json.dumps(model_to_document(m), indent=2, ensure_ascii=False) and a
@@ -448,6 +462,7 @@ def serialize_taxonomy_document(model: TaxonomyModel) -> str:
 # Merge
 # ---------------------------------------------------------------------------
 
+@_collection_paused()
 def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     """Append an extension document's traits, categories and checkmarks.
 
@@ -521,26 +536,16 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
 # Bundled dataset
 # ---------------------------------------------------------------------------
 
-def bundled_dataset_text() -> str:
-    """Raw text of the dataset shipped with the package."""
-    return (
-        resources.files("polytax").joinpath("data", BUNDLED_DATASET).read_text("utf-8")
-    )
-
-
 def load_bundled_dataset(path: Optional[str] = None) -> TaxonomyModel:
     """The model in the file at path, else in the file POLYTAX_DATA names,
     else the shipped dataset; raises IngestError unless it is clean."""
-    path = path or os.environ.get(DATA_ENV_VAR)
-    if path:
-        model, diags = load_model_from_path(path)
-    else:
-        model, diags = parse_taxonomy_document(bundled_dataset_text())
+    model, diags = load_model_from_path(path or os.environ.get(DATA_ENV_VAR) or _BUNDLED_PATH)
     if model is None or diags:
         raise IngestError(diags)
     return model
 
 
+@_collection_paused()
 def load_model_from_path(path: str) -> tuple[Optional[TaxonomyModel], list[Diagnostic]]:
     """Parse the file at path; see parse_taxonomy_document."""
     try:
@@ -563,7 +568,6 @@ __all__ = [
     "model_to_document",
     "serialize_taxonomy_document",
     "merge_extension",
-    "bundled_dataset_text",
     "load_bundled_dataset",
     "load_model_from_path",
 ]

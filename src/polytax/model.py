@@ -10,7 +10,9 @@ error, and lists of them are sorted by those three fields.
 """
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Optional
@@ -266,6 +268,29 @@ def table_marks(tables: Iterable[CheckTable]) -> dict[str, set[str]]:
         for row in table.rows:
             marks.setdefault(row.category_id, set()).update(row.marks)
     return marks
+
+
+@contextmanager
+def _collection_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector switched off, then
+    switch it back on; if it is already off, do nothing, so a nested pause
+    is a no-op. The bulk builders of ingest and enumeration run under it:
+    the records, lists and dicts they build hold no reference cycles, so a
+    collection during the build frees nothing, yet each full one traverses
+    every object alive.
+
+    The switch is process-wide. While a pause runs, no thread gets a
+    cyclic collection, and a thread that disables the collector during
+    another thread's pause has it switched back on when that pause ends.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

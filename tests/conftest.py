@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -12,3 +14,9 @@ settings.load_profile("deterministic")
 def model():
     """The bundled dataset, loaded once."""
     return ingest.load_bundled_dataset()
+
+
+@pytest.fixture(scope="session")
+def dataset_file():
+    """The path of the dataset file shipped beside the package."""
+    return str(Path(ingest.__file__).parent / "data" / ingest.BUNDLED_DATASET)

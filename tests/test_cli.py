@@ -21,13 +21,6 @@ def runner():
     return CliRunner()
 
 
-@pytest.fixture(scope="module")
-def dataset_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "bundled.taxonomy.json"
-    path.write_text(ingest.bundled_dataset_text(), encoding="utf-8")
-    return str(path)
-
-
 def test_validate_bundled_file_exits_zero(runner, dataset_file):
     result = runner.invoke(main, ["validate", dataset_file])
     assert result.exit_code == 0
@@ -156,8 +149,8 @@ def test_merge_command(runner, dataset_file, tmp_path):
 
 
 @pytest.mark.parametrize("to_file", [False, True])
-def test_merge_writes_a_lone_surrogate_as_an_escape(runner, tmp_path, to_file):
-    doc = json.loads(ingest.bundled_dataset_text())
+def test_merge_writes_a_lone_surrogate_as_an_escape(runner, dataset_file, tmp_path, to_file):
+    doc = json.loads(Path(dataset_file).read_text(encoding="utf-8"))
     doc["categories"][0]["name"] = "\ud800"
     base = tmp_path / "base.json"
     base.write_text(json.dumps(doc), encoding="utf-8")
@@ -244,6 +237,10 @@ BAD_INPUTS = {
         ["policies", "count"], {ingest.DATA_ENV_VAR: "@ff-fe"}, 1, "E_SYNTAX"
     ),
     "validate-deep-tree": (["validate", "@deep-tree"], {}, 1, "E_SYNTAX"),
+    # An integer literal longer than int() converts (4,300 digits by default).
+    "validate-long-integer": (
+        ["validate", "@long-integer"], {}, 1, "error: E_SYNTAX at /: Exceeds the limit"
+    ),
     "validate-bad-authority": (
         ["validate", "@one-channel"], {}, 1,
         "error: E_BAD_KIND at /channels/ch: unknown authority 'mint'\n",
@@ -274,7 +271,7 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         "@missing-dir": str(tmp_path / "missing" / "tree.txt"),
         "@tree-out": str(tmp_path / "tree.txt"),
     }
-    surrogate_label = json.loads(ingest.bundled_dataset_text())
+    surrogate_label = json.loads(Path(dataset_file).read_text(encoding="utf-8"))
     surrogate_label["tree"]["label"] = "\udc80"
     for name, data in (
         ("not-json", b"{not json"),
@@ -283,6 +280,7 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         ("one-channel", json.dumps(ONE_CHANNEL).encode()),
         ("ff-fe", b"\xff\xfe"),
         ("deep-tree", b'{"tree": ' + b'{"id": "g", "children": [' * 5000 + b"]}" * 5000 + b"}"),
+        ("long-integer", b'{"meta": {"n": ' + b"1" * 5000 + b"}}"),
         ("surrogate-label", json.dumps(surrogate_label).encode()),
     ):
         path = tmp_path / f"{name}.json"
@@ -339,6 +337,19 @@ def test_taxonomy_commands_do_not_import_numpy(dataset_file):
     ]
     result = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, json.dumps(argvs)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_bundled_dataset_loads_without_importlib_resources():
+    # -S: without site, no .pth file can load importlib.resources first.
+    script = (
+        "import sys; from polytax import ingest; ingest.load_bundled_dataset(); "
+        "assert 'importlib.resources' not in sys.modules"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
         env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -41,13 +41,6 @@ ARTIFACTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def dataset_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "bundled.taxonomy.json"
-    path.write_text(ingest.bundled_dataset_text(), encoding="utf-8")
-    return str(path)
-
-
 def test_every_artifact_has_a_pinned_hash():
     assert sorted(ARTIFACTS) == sorted(HASHES)
 

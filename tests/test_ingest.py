@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytax import ingest
+from polytax import enumeration, ingest
+from polytax.enumeration import enumerate_schemas
 from polytax.export import export_tree_text
 from polytax import model as M
 from polytax.model import iter_tree
@@ -455,6 +458,14 @@ def test_parsing_is_total(path, value):
         assert {d.code for d in exc.diagnostics} <= ingest.DIAGNOSTIC_CODES
 
 
+def test_parsing_is_total_on_an_overlong_integer_literal():
+    # json.loads raises a plain ValueError past int()'s digit limit (4,300).
+    text = '{"schema_version": "1", "meta": {"n": ' + "1" * 5000 + '}}'
+    model, diags = ingest.parse_taxonomy_document(text)
+    assert model is None
+    assert [(d.code, d.path) for d in diags] == [("E_SYNTAX", "/")]
+
+
 def test_wrong_kinds_are_schema_errors_at_their_path():
     doc = substitute(SMALL, ("categories", 0, "id"), [1])
     doc = substitute(doc, ("traits", 1, "subtraits", 0, "parameters", 0), "p")
@@ -545,3 +556,125 @@ def test_field_tables_name_every_model_field():
         assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(record.cls))
     top_level = {"nodes", "root_id", "metadata", *ingest._SECTIONS}
     assert top_level == {f.name for f in dataclasses.fields(M.TaxonomyModel)}
+
+
+# ---------------------------------------------------------------------------
+# the collection pause
+# ---------------------------------------------------------------------------
+
+# Each entry point that pauses the cyclic collector, called on small inputs;
+# each takes the path of the shipped dataset file.
+PAUSED_CALLS = {
+    "parse_taxonomy_document": lambda path: ingest.parse_taxonomy_document(json.dumps(SMALL)),
+    "parse_document_dict": lambda path: ingest.parse_document_dict(SMALL),
+    "load_model_from_path": ingest.load_model_from_path,
+    "merge_extension": lambda path: ingest.merge_extension(SMALL_MODEL, SMALL),
+    "serialize_taxonomy_document": lambda path: ingest.serialize_taxonomy_document(SMALL_MODEL),
+    "enumerate_schemas": lambda path: enumerate_schemas(SMALL_MODEL, expand_subtraits=True),
+}
+
+
+@pytest.fixture()
+def collector():
+    """Sets the collector back to its state before the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("name", sorted(PAUSED_CALLS))
+def test_paused_call_leaves_the_collector_as_it_found_it(
+    collector, dataset_file, monkeypatch, name, enabled
+):
+    # The collector's state inside the call, as each bulk step sees it.
+    inside = []
+    for module, attr in (
+        (ingest, "validate_model"), (ingest, "model_to_document"), (enumeration, "_checkmarks"),
+    ):
+        def spy(*args, _step=getattr(module, attr)):
+            inside.append(gc.isenabled())
+            return _step(*args)
+        monkeypatch.setattr(module, attr, spy)
+    (gc.enable if enabled else gc.disable)()
+    PAUSED_CALLS[name](dataset_file)
+    assert inside and not any(inside)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name", sorted(PAUSED_CALLS))
+def test_nested_paused_call_keeps_the_outer_pause(collector, dataset_file, name):
+    gc.enable()
+    with M._collection_paused():
+        PAUSED_CALLS[name](dataset_file)
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_raising_paused_call_leaves_the_collector_as_it_found_it(collector, enabled):
+    conflicting = {"traits": [{"id": "rate", "name": "Another Rate"}]}
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.merge_extension(SMALL_MODEL, conflicting)
+    assert [d.code for d in exc.value.diagnostics] == ["E_CONFLICT"]
+    assert gc.isenabled() is enabled
+
+
+def generated_document(categories):
+    """A clean document: each category in one of ten groups' subtrees,
+    marked in one table for a third of the 20 traits, each of which has two
+    subtraits."""
+    groups = 10
+    trait_ids = [f"t{j}" for j in range(20)]
+    return {
+        "schema_version": "1",
+        "traits": [
+            {"id": t, "name": t.upper(),
+             "subtraits": [{"id": f"{t}-{k}", "name": f"{t} {k}"} for k in range(2)]}
+            for t in trait_ids
+        ],
+        "categories": [
+            {"id": f"c{i}", "name": f"C{i}", "group_path": ["Economic Policy", f"G{i % groups}"]}
+            for i in range(categories)
+        ],
+        "tables": [{"name": "main", "trait_columns": trait_ids, "rows": [
+            {"category": f"c{i}", "marks": trait_ids[i % 3::3]} for i in range(categories)
+        ]}],
+        "tree": {"id": "root", "label": "Economic Policy", "children": [
+            {"id": f"g{g}", "label": f"G{g}", "children": [
+                {"id": f"n{i}", "label": f"C{i}", "kind": "category", "category_ref": f"c{i}"}
+                for i in range(g, categories, groups)
+            ]}
+            for g in range(groups)
+        ]},
+    }
+
+
+def test_bulk_builders_start_no_collection_while_they_run(collector):
+    """No cyclic collection starts while polytax code runs in a parse, a
+    serialize or an expanded enumeration of 2,000 categories. The pause
+    ends in contextlib's exit, where the first allocation may start one
+    collection of what the call leaves alive; that one is not counted."""
+    text = json.dumps(generated_document(2000))
+    started_in = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_globals.get("__name__", "").startswith("polytax."):
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started_in.append(frame.f_code.co_name)
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        model, diags = ingest.parse_taxonomy_document(text)
+        ingest.serialize_taxonomy_document(model)
+        schemas = enumerate_schemas(model, expand_subtraits=True)
+    finally:
+        gc.callbacks.remove(record)
+    assert diags == []
+    assert len(schemas) == sum(2 * len(range(i % 3, 20, 3)) for i in range(2000))
+    assert started_in == []
