@@ -62,25 +62,24 @@ def build_trait_matrix(model: TaxonomyModel, null_mode: str = "include") -> Trai
     col_labels = tuple(t.id for t in model.traits)
     col_index = {t: i for i, t in enumerate(col_labels)}
 
-    rows: list[np.ndarray] = []
     labels: list[str] = []
+    hit_rows: list[int] = []
+    hit_cols: list[int] = []
     saw_null = False
     for category in model.categories:
-        cells = np.zeros(len(col_labels), dtype=bool)
-        for trait_id in model.implementable_trait_ids(category.id):
-            if trait_id in col_index:
-                cells[col_index[trait_id]] = True
-        if not cells.any():
+        hits = [col_index[t] for t in model.implementable_trait_ids(category.id) if t in col_index]
+        if not hits:
             saw_null = True
             if null_mode != "include":
                 continue
+        hit_rows += [len(labels)] * len(hits)
+        hit_cols += hits
         labels.append(category.id)
-        rows.append(cells)
     if null_mode == "collapse" and saw_null:
         labels.append(NULL_POLICY_LABEL)
-        rows.append(np.zeros(len(col_labels), dtype=bool))
 
-    cells = np.array(rows, dtype=bool) if rows else np.zeros((0, len(col_labels)), dtype=bool)
+    cells = np.zeros((len(labels), len(col_labels)), dtype=bool)
+    cells[hit_rows, hit_cols] = True
     return TraitMatrix(tuple(labels), col_labels, cells)
 
 
@@ -102,18 +101,31 @@ def pearson_correlation(matrix: TraitMatrix) -> CorrelationMatrix:
     r = (k*n11 - n1*n2) / sqrt(n1*(k - n1) * n2*(k - n2)). A cell is NaN
     whenever either row is constant (zero standard deviation), including
     the diagonal of a constant row: both terms of the ratio are then 0.
+    The ratio is computed in place in the co-occurrence counts, with one
+    n x n temporary, in the order the formula reads.
     """
-    n11, n1, k = _cooccurrence(matrix, "correlation")
+    cells, n1, k = _cooccurrence(matrix, "correlation")
     spread = n1 * (k - n1)
+    part = np.multiply.outer(n1, n1)
+    cells *= k
+    cells -= part
+    np.multiply.outer(spread, spread, out=part)
+    np.sqrt(part, out=part)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cells = (k * n11 - np.outer(n1, n1)) / np.sqrt(np.outer(spread, spread))
+        cells /= part
     return CorrelationMatrix(matrix.row_labels, cells)
 
 
 def euclidean_distance(matrix: TraitMatrix) -> DistanceMatrix:
-    """d(i, j) = sqrt(sum_k (x_ik - x_jk)^2) = sqrt(n1 + n2 - 2*n11) for 0/1 rows."""
-    n11, n1, _ = _cooccurrence(matrix, "distance")
-    return DistanceMatrix(matrix.row_labels, np.sqrt(n1[:, None] + n1[None, :] - 2 * n11))
+    """d(i, j) = sqrt(sum_k (x_ik - x_jk)^2) = sqrt(n1 + n2 - 2*n11) for 0/1 rows.
+
+    Computed in place in the co-occurrence counts, with one n x n temporary.
+    """
+    cells, n1, _ = _cooccurrence(matrix, "distance")
+    cells *= 2
+    np.subtract(np.add.outer(n1, n1), cells, out=cells)
+    np.sqrt(cells, out=cells)
+    return DistanceMatrix(matrix.row_labels, cells)
 
 
 _NEVER = np.iinfo(np.int64).max  # above every weight key and tie key

@@ -5,13 +5,14 @@ UTF-8 payloads, so repeated exports diff clean. Matrix cells are written
 as the shortest repr of their float64 value; since analytics computes
 them from exact integer counts, the CSV bytes do not depend on the BLAS,
 and few values are distinct. One sort of the cells' bit patterns gives
-the distinct ones, each formatted once; a cell finds its text through a
-multiplicative hash of its bits, checked against the sorted patterns, so
-the only per-cell Python work is joining a row. Undefined cells (NaN:
-correlations of constant rows, non-tree cells of the MST-pruned
-distances) become empty fields. The pruned CSV is written from the
-tree's edge list, one row at a time, never from an n x n grid. Labels are
-quoted per RFC 4180 when they hold a comma, quote, CR or LF.
+the distinct ones, each formatted once with its separator; a cell finds
+its text through a multiplicative hash of its bits, checked against the
+sorted patterns, and a block of rows is one gather and one join, so no
+per-cell work runs in Python. Undefined cells (NaN: correlations of
+constant rows, non-tree cells of the MST-pruned distances) become empty
+fields. The pruned CSV is written from the tree's edge list, each row as
+runs of commas between its few cells, never from an n x n grid. Labels
+are quoted per RFC 4180 when they hold a comma, quote, CR or LF.
 """
 from __future__ import annotations
 
@@ -115,20 +116,15 @@ def _csv_line(fields: list[str]) -> str:
     return '""' if fields == [""] else ",".join(fields)
 
 
-def _csv_text(cols: Iterable[str], rows: Iterable[tuple[str, Iterable[str]]]) -> str:
-    """A header of the column labels, then each (label, cell texts) row."""
-    # One growing buffer: holding every row string until a final join left
-    # the heap ~15 MB larger at n=1000.
-    buf = io.StringIO()
-    buf.write(_csv_line([_csv_field(label) for label in ("", *cols)]) + "\n")
-    for label, cells in rows:
-        buf.write(_csv_line([_csv_field(label), *cells]) + "\n")
-    return buf.getvalue()
+def _csv_header(cols: Iterable[str]) -> str:
+    """The header line: an empty corner field, then the column labels."""
+    return _csv_line([_csv_field(label) for label in ("", *cols)]) + "\n"
 
 
-# Rows of cells whose codes are computed at once: at 1000 columns a block's
-# int64 temporaries stay under 1 MB, and no n x n code array is ever held.
-_BLOCK_ROWS = 64
+# Rows of cells coded, gathered and joined at once: at 1000 columns a
+# block's code and object arrays are ~128 KB each, and no n x n code array
+# is ever held.
+_BLOCK_ROWS = 16
 
 # Fibonacci hashing: the top bits of bits * 2**64/phi spread the keys.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -141,11 +137,12 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
     undefined (NaN) cells empty fields. A cell's key is its float64 bit
     pattern, or its value in a bool or int matrix, so -0.0 and 0.0 stay
     apart and NaNs of one payload share a key. One sort gives the distinct
-    keys, and each is formatted once. A block of rows at a time, each
-    cell's index into the keys comes from a multiplicative hash of its key;
-    the key at that index is compared with the cell's, and where they
-    differ a binary search finds the index, so the bytes never depend on
-    the hash. Only a row's join is per-cell Python work.
+    keys, and each is formatted once, its text kept ending in a comma and
+    ending a row in a newline. A block of rows at a time, each cell's
+    index into the keys comes from a multiplicative hash of its key; the
+    key at that index is compared with the cell's, and where they differ a
+    binary search finds the index, so the bytes never depend on the hash.
+    The block's row labels and cell texts are then one gather and one join.
     """
     import numpy as np
 
@@ -163,48 +160,70 @@ def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) 
     counts = np.diff(np.flatnonzero(distinct), append=ordered.size)
     del ordered, distinct  # an n x n copy, not to be held while writing
     text = _float_text if dtype == "f8" else str
-    texts = np.array([text(v) for v in keys.view(dtype).tolist()], dtype=object)
+    texts = [text(v) for v in keys.view(dtype).tolist()]
+    # With m keys, piece c is key c's text and a comma, piece m + c its text
+    # ending a row, and piece 2m + i row i's label field and its separator.
+    # A row of one empty field is written "".
+    if cols:
+        labels = [_csv_field(label) + "," for label in rows]
+    else:
+        labels = [_csv_line([_csv_field(label)]) + "\n" for label in rows]
+    pieces = np.array(
+        [t + "," for t in texts] + [t + "\n" for t in texts] + labels, dtype=object
+    )
 
-    # 4-8 slots per key. Keys are written rarest first, so where keys share
-    # a slot the most frequent one, written last, keeps it: ~2% of cells
-    # miss at n=1000, against ~8% in key order. NumPy does not promise
-    # which write to a repeated index lands; a miss only costs a search.
-    slot_bits = (4 * len(keys) - 1).bit_length()
+    # 16-32 slots per key. Keys are written rarest first, so where keys
+    # share a slot the most frequent one, written last, keeps it: at n=1000
+    # ~0.5% of correlation and ~2.5% of distance cells miss. NumPy does not
+    # promise which write to a repeated index lands; a miss only costs a
+    # search.
+    slot_bits = (16 * len(keys) - 1).bit_length()
     shift, golden = np.uint64(64 - slot_bits), np.uint64(_GOLDEN)
-    table = np.zeros(1 << slot_bits, dtype=np.int32)
-    by_count = np.argsort(counts).astype(np.int32)
-    table[(keys[by_count] * golden) >> shift] = by_count
+    table = np.zeros(1 << slot_bits, dtype=np.intp)
+    by_count = np.argsort(counts)
+    table[((keys[by_count] * golden) >> shift).view(np.intp)] = by_count
 
-    def lines():
-        for start in range(0, len(cells), _BLOCK_ROWS):
-            block = cells[start : start + _BLOCK_ROWS].astype(dtype, copy=False).view("u8")
-            codes = table[(block * golden) >> shift]
-            missed = keys[codes] != block
-            codes[missed] = np.searchsorted(keys, block[missed])
-            yield from texts[codes].tolist()
-
-    return ExportArtifact(_csv_text(cols, zip(rows, lines())))
+    buf = io.StringIO()
+    buf.write(_csv_header(cols))
+    codes = np.empty((_BLOCK_ROWS, len(cols) + 1), dtype=np.intp)
+    for start in range(0, len(cells), _BLOCK_ROWS):
+        block = cells[start : start + _BLOCK_ROWS].astype(dtype, copy=False).view("u8")
+        slot = block * golden
+        slot >>= shift
+        found = table[slot.view(np.intp)]
+        missed = keys[found] != block
+        found[missed] = np.searchsorted(keys, block[missed])
+        found[:, -1:] += len(keys)  # the last column ends its row; none if no columns
+        code = codes[: len(block)]
+        code[:, 1:] = found
+        code[:, 0] = range(2 * len(keys) + start, 2 * len(keys) + start + len(block))
+        buf.write("".join(pieces[code].ravel().tolist()))
+    return ExportArtifact(buf.getvalue())
 
 
 def export_pruned_csv(mst: MstResult) -> ExportArtifact:
     """The MST-pruned distance matrix as CSV: 0.0 on the diagonal, the tree
-    edge weights, and empty fields off the tree."""
+    edge weights, and empty fields off the tree. Each row is written as runs
+    of commas between its few non-empty cells."""
     n = len(mst.labels)
-    tree: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    tree: list[list[tuple[int, str]]] = [[(i, "0.0")] for i in range(n)]
     for i, j, weight in mst.edges:
         text = _float_text(weight)
         tree[i].append((j, text))
         tree[j].append((i, text))
 
-    def lines():
-        for i, label in enumerate(mst.labels):
-            cells = [""] * n
-            cells[i] = "0.0"
-            for j, text in tree[i]:
-                cells[j] = text
-            yield label, cells
-
-    return ExportArtifact(_csv_text(mst.labels, lines()))
+    buf = io.StringIO()
+    buf.write(_csv_header(mst.labels))
+    for label, row in zip(mst.labels, tree):
+        parts = [_csv_field(label)]
+        before = -1
+        row.sort()
+        for j, text in row:
+            parts.append("," * (j - before) + text)
+            before = j
+        parts.append("," * (n - 1 - before) + "\n")
+        buf.write("".join(parts))
+    return ExportArtifact(buf.getvalue())
 
 
 def _md_cell(text: str) -> str:

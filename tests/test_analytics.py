@@ -293,11 +293,17 @@ def small_matrices_with_constant_rows():
             yield TraitMatrix(tm.row_labels, tm.col_labels, cells)
 
 
+def assert_same_bits(got, want):
+    """Equal NaN masks and equal float64 bits elsewhere, so -0.0 is not 0.0."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view("u8"), want[~nan].view("u8"))
+
+
 def assert_exact_analytics(tm):
     rows = tm.cells.astype(int).tolist()
-    corr = pearson_correlation(tm)
-    assert np.array_equal(corr.cells, integer_pearson(rows), equal_nan=True)
-    assert np.array_equal(euclidean_distance(tm).cells, integer_hamming_sqrt(rows))
+    assert_same_bits(pearson_correlation(tm).cells, integer_pearson(rows))
+    assert_same_bits(euclidean_distance(tm).cells, integer_hamming_sqrt(rows))
 
 
 @pytest.mark.parametrize("null_mode", ["include", "collapse", "exclude"])
@@ -308,6 +314,25 @@ def test_analytics_equal_integer_reference_on_bundled_dataset(model, null_mode):
 def test_analytics_equal_integer_reference_on_small_matrices():
     for tm in small_matrices_with_constant_rows():
         assert_exact_analytics(tm)
+
+
+@pytest.mark.parametrize("kernel", [pearson_correlation, euclidean_distance])
+def test_kernel_peak_memory_at_n1000(kernel):
+    # Computed in place in the co-occurrence counts: those and one n x n
+    # temporary, where Pearson used to hold six n x n arrays (30.5 MiB).
+    n = 1000
+    rng = np.random.default_rng(n)
+    tm = TraitMatrix(
+        tuple(f"r{i}" for i in range(n)), tuple(f"c{k}" for k in range(64)),
+        rng.random((n, 64)) < 0.3,
+    )
+    tracemalloc.start()
+    try:
+        kernel(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8 + 2**20, peak / 2**20
 
 
 def test_complement_rows_anticorrelate():

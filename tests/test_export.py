@@ -288,7 +288,7 @@ def _oracle_cases():
     yield DistanceMatrix(("", "x"), np.array([[-0.0, PAYLOAD_NAN], [np.nan, 0.0]]))
     yield CorrelationMatrix((), np.zeros((0, 0)))
     yield TraitMatrix((), (), np.zeros((0, 0), dtype=bool))
-    # Thousands of distinct values share 4-8 hash slots per key, so slot
+    # Thousands of distinct values share 16-32 hash slots per key, so slot
     # collisions are certain; row counts straddle the block size.
     for n in (101, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
         labels = tuple(f"r{i}" for i in range(n))
@@ -297,6 +297,22 @@ def _oracle_cases():
         specials = rng.choice((-0.0, 0.0, np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324), (n, n))
         yield DistanceMatrix(labels, np.where(rng.random((n, n)) < 0.2, specials, distinct))
         yield TraitMatrix(labels, labels[:7], rng.random((n, 7)) < 0.5)
+    # Layouts and dtypes the writer converts block by block.
+    labels = tuple(f"r{i}" for i in range(9))
+    normal = rng.standard_normal((18, 18))
+    floats = np.where(rng.random((18, 18)) < 0.5, rng.choice(SPECIAL, (18, 18)), normal)
+    yield CorrelationMatrix(labels, floats[:9, :9].T)
+    yield CorrelationMatrix(labels, floats[::2, ::2])
+    yield DistanceMatrix(labels, np.asfortranarray(floats[:9, :9]))
+    # SPECIAL without 1e300, which float32 cannot hold.
+    narrow = np.where(floats == 1e300, normal, floats)
+    yield DistanceMatrix(labels, narrow[:9, :9].astype(np.float32))
+    yield TraitMatrix(labels, labels[:4], rng.integers(-2**31, 2**31, size=(9, 4), dtype=np.int32))
+    # Few distinct keys, as in a distance matrix (sqrt of 0..35), with row
+    # counts that straddle the block size.
+    for n in (15, 16, 17, 33):
+        labels = tuple(f"r{i}" for i in range(n))
+        yield DistanceMatrix(labels, np.sqrt(rng.integers(0, 36, size=(n, n)).astype(float)))
     yield TraitMatrix(("a", "b"), ("x", "y", "z"), rng.integers(-3, 4, size=(2, 3)))
     yield TraitMatrix(("a",), ("x", "y"), np.array([[2**64 - 1, 5]], dtype=np.uint64))
 
