@@ -4,41 +4,34 @@ Exit codes: 0 success, 1 validation or lookup errors, 2 usage errors;
 run_cli takes the same exit path as the polytax script, in this process.
 Every IngestError and PolicyError ends the command with its diagnostics
 on stderr and exit code 1, never with a traceback; a file that cannot be
-read or decoded is an E_SYNTAX error, and an --out file that cannot be
-written, stdout that cannot be written (a full disk), or output that
-does not encode as UTF-8 (a lone surrogate in a tree label), exits 1 with
-a one-line message; a closed pipe exits 1 quietly. The bundled dataset is
-the default input; POLYTAX_DATA or --input override it. Only the matrix,
-corr, dist and mst commands import analytics, and with it numpy; the
-taxonomy commands, table among them, start without it.
+read or decoded is an E_SYNTAX error. For every command and for --help,
+an --out file that cannot be written, stdout that cannot be written (a
+full disk), or output that does not encode as UTF-8 (a lone surrogate in
+an id, name or label) exits 1 with a one-line message; a closed pipe
+exits 1 quietly. The bundled dataset is the default input; POLYTAX_DATA
+or --input override it. Only the matrix, corr, dist and mst commands
+import analytics, and with it numpy; the taxonomy commands, table among
+them, start without it.
 """
 from __future__ import annotations
 
-import errno
 import functools
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import click
 
 from . import enumeration, export, ingest
 from .model import NULL_MODES, PolicyCategory, PolicyError
 
-if TYPE_CHECKING:
-    from .analytics import TraitMatrix
 
-
-def _trait_matrix(input_path: Optional[str], null_mode: str) -> TraitMatrix:
-    from .analytics import build_trait_matrix
-
-    return build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
-
-
-def _write_out(text: str, out: Optional[str]) -> None:
+def _write_out(text: str, out: Optional[str] = None) -> None:
+    """Write text to the --out file, or to stdout when out is None; text
+    that does not encode as UTF-8 is refused whatever stdout's error handler."""
     try:
+        data = text.encode("utf-8")
         if out is None:
             click.echo(text, nl=False)
             return
-        data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise click.ClickException(f"cannot write {out or 'the output'}: {exc}") from None
     try:
@@ -63,22 +56,21 @@ out_option = click.option(
 
 
 class _Main(click.Group):
-    """The error boundary: IngestError, PolicyError and an OSError such as
-    a full disk under stdout exit 1 with a message. A closed pipe (EPIPE)
-    is left to click, which exits 1 without one."""
+    """The error boundary around the whole run, argument parsing and --help
+    included: IngestError, PolicyError and an OSError such as a full disk
+    under stdout exit 1 with a message. Click's own main has already turned
+    a closed pipe (EPIPE) into a quiet exit 1."""
 
-    def invoke(self, ctx):
+    def main(self, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return super().main(*args, **kwargs)
         except ingest.IngestError as exc:
             for d in exc.diagnostics:
                 click.echo(f"error: {d}", err=True)
         except PolicyError as exc:
             click.echo(str(exc), err=True)
         except OSError as exc:
-            if exc.errno == errno.EPIPE:
-                raise
-            raise click.ClickException(str(exc)) from None
+            click.echo(f"Error: {exc}", err=True)
         raise SystemExit(1)
 
 
@@ -92,9 +84,9 @@ def main():
 def validate(file):
     """Validate a taxonomy-definition file."""
     model = ingest.load_bundled_dataset(file)
-    click.echo(
+    _write_out(
         f"OK: {len(model.traits)} traits, {len(model.categories)} categories, "
-        f"{len(model.tables)} tables"
+        f"{len(model.tables)} tables\n"
     )
 
 
@@ -148,7 +140,7 @@ def policies_list(input_path, flt, expand_subtraits):
     """List schemas, one category/trait[/subtrait] per line."""
     model = ingest.load_bundled_dataset(input_path)
     schemas = enumeration.enumerate_schemas(model, flt, expand_subtraits)
-    click.echo(export.export_schema_list(schemas).text, nl=False)
+    _write_out(export.export_schema_list(schemas).text)
 
 
 @policies.command("count")
@@ -159,10 +151,9 @@ def policies_count(input_path, flt, expand_subtraits, by):
     model = ingest.load_bundled_dataset(input_path)
     counts = enumeration.count_checkmarks(model, by or "table", flt, expand_subtraits)
     if by is None:
-        click.echo(str(sum(counts.values())))
+        _write_out(f"{sum(counts.values())}\n")
     else:
-        for name in sorted(counts):
-            click.echo(f"{name}: {counts[name]}")
+        _write_out("".join(f"{name}: {counts[name]}\n" for name in sorted(counts)))
 
 
 def _matrix_command(name: str, function: Optional[str], doc: str) -> None:
@@ -176,7 +167,7 @@ def _matrix_command(name: str, function: Optional[str], doc: str) -> None:
     def command(input_path, null_mode, out):
         from . import analytics
 
-        result = _trait_matrix(input_path, null_mode)
+        result = analytics.build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
         if function is not None:
             result = getattr(analytics, function)(result)
         _write_out(export.export_matrix_csv(result).text, out)
@@ -196,7 +187,7 @@ def mst(input_path, null_mode, fmt, out):
     """Export the minimum-spanning tree (DOT) or pruned distances (CSV)."""
     from . import analytics
 
-    tm = _trait_matrix(input_path, null_mode)
+    tm = analytics.build_trait_matrix(ingest.load_bundled_dataset(input_path), null_mode)
     result = analytics.kruskal_mst(analytics.euclidean_distance(tm))
     if fmt == "dot":
         artifact = export.export_mst_dot(result)
@@ -233,14 +224,15 @@ def show(input_path, name):
     model = ingest.load_bundled_dataset(input_path)
     found = enumeration.lookup(model, name)
     if isinstance(found, PolicyCategory):
-        click.echo(f"category {found.id}: {found.name}")
-        click.echo("group path: " + " > ".join(found.group_path))
+        lines = [f"category {found.id}: {found.name}"]
+        lines.append("group path: " + " > ".join(found.group_path))
         if found.cross_tags:
-            click.echo("tags: " + ", ".join(sorted(found.cross_tags)))
+            lines.append("tags: " + ", ".join(sorted(found.cross_tags)))
         traits = sorted(model.implementable_trait_ids(found.id))
-        click.echo("traits: " + (", ".join(traits) or "(none)"))
+        lines.append("traits: " + (", ".join(traits) or "(none)"))
     else:
-        click.echo(f"node {found.id} [{found.kind}]: {found.label}")
+        lines = [f"node {found.id} [{found.kind}]: {found.label}"]
+    _write_out("\n".join(lines) + "\n")
 
 
 def run_cli(argv) -> int:

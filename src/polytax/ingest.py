@@ -170,6 +170,14 @@ _NODE = _Record(
 )
 # The document's record lists in dump order, named as their model attributes.
 _SECTIONS = {"traits": _TRAIT, "channels": _CHANNEL, "categories": _CATEGORY, "tables": _TABLE}
+_TOP_LEVEL_KEYS = frozenset({"schema_version", "meta", "tree", *_SECTIONS})
+
+
+def _unknown_keys(doc: dict) -> list[Diagnostic]:
+    return [
+        _schema_error(f"unknown top-level key {key!r}", f"/{key}")
+        for key in sorted(set(doc) - _TOP_LEVEL_KEYS)
+    ]
 
 
 def _parse_record(item: dict, path: str, record: _Record, diags, **parse_only) -> Any:
@@ -238,7 +246,7 @@ def _syntax_error(exc: Exception, path: str = "/") -> IngestError:
     return IngestError([Diagnostic("E_SYNTAX", path, str(exc))])
 
 
-def decode_document(data: str | bytes) -> Any:
+def _decode_document(data: str | bytes) -> Any:
     """Decode UTF-8 JSON text; undecodable or too deeply nested input, or an
     integer literal longer than int() converts, raises IngestError (E_SYNTAX)."""
     try:
@@ -259,7 +267,7 @@ def read_document(path: str) -> Any:
             data = f.read()
     except OSError as exc:
         raise _syntax_error(exc) from None
-    return decode_document(data)
+    return _decode_document(data)
 
 
 @_collection_paused()
@@ -273,7 +281,7 @@ def parse_taxonomy_document(
     with all parse and validation diagnostics.
     """
     try:
-        doc = decode_document(text)
+        doc = _decode_document(text)
     except IngestError as exc:
         return None, exc.diagnostics
     return parse_document_dict(doc)
@@ -297,8 +305,7 @@ def parse_document_dict(
     for section in ("traits", "categories"):
         if doc.get(section) is None:
             diags.append(_schema_error(f"missing required section {section!r}", "/"))
-    for key in sorted(set(doc) - {"schema_version", "meta", "tree", *_SECTIONS}):
-        diags.append(_schema_error(f"unknown top-level key {key!r}", f"/{key}"))
+    diags.extend(_unknown_keys(doc))
 
     tables = _parse_list(doc, "tables", _TABLE, "", diags)
     nodes, root_id = _parse_tree(doc, diags)
@@ -467,12 +474,13 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     """Append an extension document's traits, categories and checkmarks.
 
     Redefining an existing id with different content raises IngestError
-    with E_CONFLICT; identical redefinitions are no-ops. The merged model
-    is re-validated and must be clean.
+    with E_CONFLICT; identical redefinitions are no-ops. An unknown top-level
+    key raises E_SCHEMA at /{key}, as in parsing; schema_version, meta and
+    tree are ignored. The merged model is re-validated and must be clean.
     """
     if not isinstance(extension, dict):
         raise IngestError([_schema_error("extension must be a JSON object", "/")])
-    diags: list[Diagnostic] = []
+    diags = _unknown_keys(extension)
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
     for table in _parse_list(extension, "tables", _TABLE, "", diags):
@@ -561,7 +569,6 @@ __all__ = [
     "DATA_ENV_VAR",
     "DIAGNOSTIC_CODES",
     "IngestError",
-    "decode_document",
     "read_document",
     "parse_taxonomy_document",
     "parse_document_dict",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -213,11 +214,31 @@ ONE_CHANNEL = {
     "channels": [{"id": "ch", "authority": "mint", "statement_path": ["Operating Income"]}],
 }
 
+# The first category's id and name hold a lone surrogate, which JSON text
+# may hold but UTF-8 cannot; the second gives corr, dist and mst two rows.
+SURROGATE_IDS = {
+    "schema_version": "1",
+    "traits": [{"id": "t", "name": "T"}],
+    "categories": [
+        {"id": "c\udc80", "name": "C\udc80", "group_path": ["Economic Policy"]},
+        {"id": "d", "name": "D", "group_path": ["Economic Policy"]},
+    ],
+    "tables": [
+        {"name": "main", "trait_columns": ["t"], "rows": [{"category": "c\udc80", "marks": ["t"]}]}
+    ],
+}
+
+UNENCODABLE = "surrogates not allowed"
+
 # "@name" stands for a file written by the test; env values may use it too.
 # Each case is (argv, env, exit code, text expected on stderr).
 BAD_INPUTS = {
     "merge-not-json": (["merge", "@dataset", "@not-json"], {}, 1, "E_SYNTAX"),
     "merge-json-list": (["merge", "@dataset", "@json-list"], {}, 1, "E_SCHEMA"),
+    "merge-unknown-key": (
+        ["merge", "@dataset", "@unknown-key"], {}, 1,
+        "error: E_SCHEMA at /categores: unknown top-level key 'categores'\n",
+    ),
     "corr-one-row": (["corr", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"),
     "dist-one-row": (["dist", "--input", "@one-category"], {}, 1, "E_BAD_FILTER"),
     "mst-exclude-one-row": (
@@ -251,15 +272,48 @@ BAD_INPUTS = {
     "tree-out-missing-dir": (
         ["tree", "--out", "@missing-dir"], {}, 1, "No such file or directory"
     ),
-    # A lone surrogate is valid JSON text but cannot be written as UTF-8.
-    "tree-lone-surrogate": (
-        ["tree", "--input", "@surrogate-label"], {}, 1, "surrogates not allowed"
-    ),
+    # A lone surrogate is valid JSON text but cannot be written as UTF-8;
+    # test_surrogate_rows_cover_every_command names the commands these cover.
+    "tree-lone-surrogate": (["tree", "--input", "@surrogate-label"], {}, 1, UNENCODABLE),
     "tree-out-lone-surrogate": (
-        ["tree", "--input", "@surrogate-label", "--out", "@tree-out"], {}, 1,
-        "surrogates not allowed",
+        ["tree", "--input", "@surrogate-label", "--out", "@tree-out"], {}, 1, UNENCODABLE
+    ),
+    "list-lone-surrogate": (
+        ["policies", "list", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE
+    ),
+    "count-by-category-lone-surrogate": (
+        ["policies", "count", "--by", "category", "--input", "@surrogate-ids"], {}, 1,
+        UNENCODABLE,
+    ),
+    "show-lone-surrogate": (["show", "C", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE),
+    "matrix-lone-surrogate": (["matrix", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE),
+    "corr-lone-surrogate": (["corr", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE),
+    "dist-lone-surrogate": (["dist", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE),
+    "mst-lone-surrogate": (["mst", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE),
+    "table-lone-surrogate": (
+        ["table", "main", "--input", "@surrogate-ids"], {}, 1, UNENCODABLE
     ),
 }
+
+
+def leaf_commands(group, prefix=()):
+    """The argv prefix of every command under group that is not a group."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def test_surrogate_rows_cover_every_command():
+    rows = [argv for argv, _, _, expected in BAD_INPUTS.values() if expected == UNENCODABLE]
+    uncovered = [
+        leaf for leaf in leaf_commands(main)
+        if not any(tuple(argv[:len(leaf)]) == leaf for argv in rows)
+    ]
+    # validate prints only counts, and merge writes a lone surrogate as a
+    # JSON escape (test_merge_writes_a_lone_surrogate_as_an_escape).
+    assert sorted(uncovered) == [("merge",), ("validate",)]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -282,6 +336,8 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         ("deep-tree", b'{"tree": ' + b'{"id": "g", "children": [' * 5000 + b"]}" * 5000 + b"}"),
         ("long-integer", b'{"meta": {"n": ' + b"1" * 5000 + b"}}"),
         ("surrogate-label", json.dumps(surrogate_label).encode()),
+        ("surrogate-ids", json.dumps(SURROGATE_IDS).encode()),
+        ("unknown-key", b'{"categores": []}'),
     ):
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
@@ -366,8 +422,11 @@ def test_analytics_names_resolve_on_first_access():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["tree"], ["show", "Carucage"]])
-def test_unwritable_stdout_exits_one_without_traceback(argv):
+@pytest.mark.parametrize("argv", [
+    ["tree"], ["show", "Carucage"], ["--help"], ["policies", "list"], ["validate", "@dataset"],
+])
+def test_unwritable_stdout_exits_one_without_traceback(argv, dataset_file):
+    argv = [dataset_file if a == "@dataset" else a for a in argv]
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "polytax.cli", *argv], stdout=full,
@@ -375,6 +434,23 @@ def test_unwritable_stdout_exits_one_without_traceback(argv):
         )
     assert result.returncode == 1
     assert result.stderr == "Error: [Errno 28] No space left on device\n"
+
+
+def test_lone_surrogate_exits_one_in_utf8_mode(tmp_path):
+    # In UTF-8 mode stdout's error handler is surrogateescape, which would
+    # write U+DC80 as the raw byte 0x80.
+    path = tmp_path / "surrogate-ids.json"
+    path.write_text(json.dumps(SURROGATE_IDS), encoding="utf-8")
+    env = subprocess_env()
+    env.pop("PYTHONIOENCODING", None)
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "polytax.cli", "policies", "list",
+         "--input", str(path)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert UNENCODABLE in result.stderr.decode() and b"Traceback" not in result.stderr
 
 
 def test_closed_pipe_stays_quiet(dataset_file):

@@ -305,6 +305,17 @@ def test_merge_empty_extension_is_identity(model):
     assert ingest.merge_extension(model, {}) == model
 
 
+def test_merge_rejects_an_unknown_top_level_key(model):
+    with pytest.raises(ingest.IngestError) as exc:
+        ingest.merge_extension(model, {"categores": [], **payment_rail_extension()})
+    assert [(d.code, d.path) for d in exc.value.diagnostics] == [("E_SCHEMA", "/categores")]
+    assert exc.value.diagnostics == ingest.parse_document_dict(
+        {**ingest.model_to_document(model), "categores": []}
+    )[1]
+    # A whole document merges: its schema_version, meta and tree are ignored.
+    assert ingest.merge_extension(model, ingest.model_to_document(model)) == model
+
+
 def models_equivalent(a, b):
     """Order-insensitive model comparison (used for merge algebra)."""
 
