@@ -14,7 +14,7 @@ edges are sorted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,27 +23,23 @@ from .model import NULL_MODES, PolicyError, TaxonomyModel
 NULL_POLICY_LABEL = "Null Policy"
 
 
-@dataclass(frozen=True)
-class TraitMatrix:
+class TraitMatrix(NamedTuple):
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     cells: np.ndarray  # bool, shape (rows, cols)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     labels: tuple[str, ...]
     cells: np.ndarray  # float, shape (n, n); NaN = undefined
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     labels: tuple[str, ...]
     cells: np.ndarray  # float, shape (n, n)
 
 
-@dataclass(frozen=True)
-class MstResult:
+class MstResult(NamedTuple):
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
 

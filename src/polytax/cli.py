@@ -8,7 +8,8 @@ read or decoded is an E_SYNTAX error. For every command and for --help,
 an --out file that cannot be written, stdout that cannot be written (a
 full disk), or output that does not encode as UTF-8 (a lone surrogate in
 an id, name or label) exits 1 with a one-line message; a closed pipe
-exits 1 quietly. The bundled dataset is the default input; POLYTAX_DATA
+exits 1 quietly. A message that stderr cannot take is dropped, and the
+exit code stays that of the error it reported. The bundled dataset is the default input; POLYTAX_DATA
 or --input override it. Only the matrix, corr, dist and mst commands
 import analytics, and with it numpy; the taxonomy commands, table among
 them, start without it.
@@ -59,18 +60,25 @@ class _Main(click.Group):
     """The error boundary around the whole run, argument parsing and --help
     included: IngestError, PolicyError and an OSError such as a full disk
     under stdout exit 1 with a message. Click's own main has already turned
-    a closed pipe (EPIPE) into a quiet exit 1."""
+    a closed pipe (EPIPE) into a quiet exit 1. When stderr cannot take a
+    message, the message is dropped; if it was click's own, the error it
+    reported (2 for a usage error) is the OSError's context."""
 
     def main(self, *args, **kwargs):
         try:
-            return super().main(*args, **kwargs)
-        except ingest.IngestError as exc:
-            for d in exc.diagnostics:
-                click.echo(f"error: {d}", err=True)
-        except PolicyError as exc:
-            click.echo(str(exc), err=True)
-        except OSError as exc:
-            click.echo(f"Error: {exc}", err=True)
+            try:
+                return super().main(*args, **kwargs)
+            except ingest.IngestError as exc:
+                for d in exc.diagnostics:
+                    click.echo(f"error: {d}", err=True)
+            except PolicyError as exc:
+                click.echo(str(exc), err=True)
+            except OSError as exc:
+                if isinstance(exc.__context__, click.ClickException):
+                    raise SystemExit(exc.__context__.exit_code)
+                click.echo(f"Error: {exc}", err=True)
+        except OSError:
+            pass
         raise SystemExit(1)
 
 

@@ -11,8 +11,7 @@ list, as ingest's bulk builders do; the pause is process-wide.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .model import (
     AtomicPolicySchema,
@@ -25,8 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
+class EnumerationFilter(NamedTuple):
     table: Optional[str] = None
     group_prefix: Optional[tuple[str, ...]] = None
     cross_tag: Optional[str] = None

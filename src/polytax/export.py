@@ -19,8 +19,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .model import PolicyError, TaxonomyModel, iter_tree
 
@@ -28,8 +27,7 @@ if TYPE_CHECKING:  # analytics imports numpy; the exporters only read its result
     from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
 
 
-@dataclass(frozen=True)
-class ExportArtifact:
+class ExportArtifact(NamedTuple):
     text: str
 
 

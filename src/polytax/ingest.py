@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import replace
 from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Any, Optional
@@ -503,8 +502,8 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             else:
                 merged = tuple(dict.fromkeys(rows[i].marks + row.marks))
                 rows[i] = TableRow(row.category_id, merged)
-        tables[by_name[table.name]] = replace(
-            current, trait_columns=tuple(columns), rows=tuple(rows)
+        tables[by_name[table.name]] = current._replace(
+            trait_columns=tuple(columns), rows=tuple(rows)
         )
 
     new_traits = _parse_list(extension, "traits", _TRAIT, "", diags)

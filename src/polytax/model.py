@@ -3,8 +3,9 @@
 The model is a set of trait definitions, policy categories, transaction
 channels, checkmark tables and a taxonomy tree. The tables alone say which
 traits a category implements; TaxonomyModel.implementable_trait_ids reads
-their marks, through a view built on first use. Everything is immutable
-after construction; validation never raises, it returns diagnostics. A
+their marks, through a view built on first use. The value types are
+immutable named tuples; TaxonomyModel, the one dataclass, indexes them and
+is treated as immutable. Validation never raises, it returns diagnostics. A
 Diagnostic is a code, a JSON path and a message; every diagnostic is an
 error, and lists of them are sorted by those three fields.
 """
@@ -15,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
 def _number(value: Any) -> bool:
@@ -78,8 +79,7 @@ class PolicyError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True, order=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding, and always an error: a stable code, the JSON path it is
     at, and a message. Diagnostics sort by these three fields in turn."""
 
@@ -91,22 +91,19 @@ class Diagnostic:
         return f"{self.code} at {self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(NamedTuple):
     name: str
     kind: str
 
 
-@dataclass(frozen=True)
-class SubtraitDef:
+class SubtraitDef(NamedTuple):
     id: str
     name: str
     parameters: tuple[ParameterSpec, ...] = ()
     description: str = ""
 
 
-@dataclass(frozen=True)
-class TraitDef:
+class TraitDef(NamedTuple):
     id: str
     name: str
     parameters: tuple[ParameterSpec, ...] = ()
@@ -120,8 +117,7 @@ class TraitDef:
         return None
 
 
-@dataclass(frozen=True)
-class PolicyCategory:
+class PolicyCategory(NamedTuple):
     id: str
     name: str
     description: str = ""
@@ -131,8 +127,7 @@ class PolicyCategory:
     channel_ref: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TransactionChannel:
+class TransactionChannel(NamedTuple):
     id: str
     authority: str
     statement_path: tuple[str, ...]
@@ -140,8 +135,7 @@ class TransactionChannel:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class TaxonomyNode:
+class TaxonomyNode(NamedTuple):
     id: str
     label: str
     kind: str
@@ -149,14 +143,12 @@ class TaxonomyNode:
     category_ref: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     category_id: str
     marks: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CheckTable:
+class CheckTable(NamedTuple):
     """One appendix-style table: rows are categories, columns are traits."""
 
     name: str
@@ -165,15 +157,13 @@ class CheckTable:
     rows: tuple[TableRow, ...]
 
 
-@dataclass(frozen=True)
-class AtomicPolicySchema:
+class AtomicPolicySchema(NamedTuple):
     category_id: str
     trait_id: str
     subtrait_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AtomicPolicy:
+class AtomicPolicy(NamedTuple):
     schema: AtomicPolicySchema
     bindings: Mapping[str, Any]
 

@@ -557,12 +557,12 @@ def test_mst_edges_equal_reference_kruskal_on_bundled_dataset(model, null_mode):
     # label under collapse; its table row is renamed along with it.
     named = next(c for c in model.categories if model.implementable_trait_ids(c.id))
     categories = tuple(
-        dataclasses.replace(c, id=NULL_POLICY_LABEL) if c is named else c
+        c._replace(id=NULL_POLICY_LABEL) if c is named else c
         for c in model.categories
     )
     tables = tuple(
-        dataclasses.replace(t, rows=tuple(
-            dataclasses.replace(r, category_id=NULL_POLICY_LABEL) if r.category_id == named.id
+        t._replace(rows=tuple(
+            r._replace(category_id=NULL_POLICY_LABEL) if r.category_id == named.id
             else r for r in t.rows
         ))
         for t in model.tables

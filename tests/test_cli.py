@@ -1,5 +1,7 @@
 import ast
+import errno
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -434,6 +436,53 @@ def test_unwritable_stdout_exits_one_without_traceback(argv, dataset_file):
         )
     assert result.returncode == 1
     assert result.stderr == "Error: [Errno 28] No space left on device\n"
+
+
+class FullStream(io.TextIOBase):
+    """A text stream on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# Each case is (argv, exit code): usage errors exit 2, lookup errors 1.
+UNWRITABLE_STDERR = [
+    (["nosuch"], 2), (["validate", "/nonexistent"], 2), (["table", "nope"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", UNWRITABLE_STDERR)
+def test_unwritable_stderr_keeps_the_exit_code_in_process(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert run_cli(argv) == code
+
+
+def test_unwritable_stdout_and_stderr_exit_one_in_process(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    assert run_cli(["--help"]) == 1
+
+
+# Runs polytax.cli as `python -m` does, with every uncaught or unraisable
+# exception reported on stdout, since stderr is the full disk.
+HOOKED_CLI = """
+import runpy, sys
+def report(*args):
+    sys.stdout.write("Traceback\\n")
+sys.excepthook = sys.unraisablehook = report
+runpy.run_module("polytax.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code", UNWRITABLE_STDERR)
+def test_unwritable_stderr_keeps_the_exit_code_without_traceback(argv, code):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-c", HOOKED_CLI, *argv], stdout=subprocess.PIPE,
+            stderr=full, env=subprocess_env(), text=True, timeout=120,
+        )
+    assert (result.returncode, result.stdout) == (code, "")
 
 
 def test_lone_surrogate_exits_one_in_utf8_mode(tmp_path):

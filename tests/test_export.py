@@ -366,12 +366,12 @@ def test_markdown_table_escapes_pipes_in_cells(model):
     piped = dataclasses.replace(
         model,
         categories=[
-            dataclasses.replace(c, name="Tax | levy", cross_tags=c.cross_tags | {"a|b"})
+            c._replace(name="Tax | levy", cross_tags=c.cross_tags | {"a|b"})
             if c.id == cat_id else c
             for c in model.categories
         ],
         traits=[
-            dataclasses.replace(t, name="rate|base") if t.id == trait_id else t
+            t._replace(name="rate|base") if t.id == trait_id else t
             for t in model.traits
         ],
     )
@@ -387,12 +387,12 @@ def test_markdown_table_writes_line_breaks_in_cells_as_br(model):
     broken = dataclasses.replace(
         model,
         categories=[
-            dataclasses.replace(c, name="Tax\nlevy", cross_tags=c.cross_tags | {"a\r\nb", "c\rd"})
+            c._replace(name="Tax\nlevy", cross_tags=c.cross_tags | {"a\r\nb", "c\rd"})
             if c.id == cat_id else c
             for c in model.categories
         ],
         traits=[
-            dataclasses.replace(t, name="rate\r\nbase") if t.id == trait_id else t
+            t._replace(name="rate\r\nbase") if t.id == trait_id else t
             for t in model.traits
         ],
     )

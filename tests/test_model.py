@@ -1,10 +1,15 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from polytax import ingest
+from polytax import model as M
+from polytax.analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
+from polytax.enumeration import EnumerationFilter
+from polytax.export import ExportArtifact
 from polytax.model import (
     CheckTable,
     ParameterSpec,
@@ -542,3 +547,66 @@ def test_checkmark_sweep_matches_tables(model):
                     assert exc.code == "E_BINDING"
                     ok = True
             assert ok == (trait.id in model.implementable_trait_ids(category.id))
+
+
+_CELLS = np.zeros((2, 2))
+_SCHEMA = M.AtomicPolicySchema("c", "t")
+
+# Every value type, with its fields in declaration order.
+VALUE_RECORDS = [
+    (M.Diagnostic, {"code": "E_SCHEMA", "path": "/x", "message": "m"}),
+    (M.ParameterSpec, {"name": "rate", "kind": "rate"}),
+    (M.SubtraitDef, {"id": "s", "name": "S", "parameters": (), "description": ""}),
+    (M.TraitDef, {"id": "t", "name": "T", "parameters": (), "subtraits": (), "description": "d"}),
+    (M.PolicyCategory, {
+        "id": "c", "name": "C", "description": "", "own_parameters": (),
+        "group_path": ("Economic Policy",), "cross_tags": frozenset({"a"}), "channel_ref": None,
+    }),
+    (M.TransactionChannel, {
+        "id": "ch", "authority": "government", "statement_path": ("Operating Income",),
+        "name": "Ch", "description": "",
+    }),
+    (M.TaxonomyNode, {"id": "n", "label": "N", "kind": "group", "children": ("m",),
+                      "category_ref": None}),
+    (M.TableRow, {"category_id": "c", "marks": ("t",)}),
+    (M.CheckTable, {"name": "main", "title": "Main", "trait_columns": ("t",), "rows": ()}),
+    (M.AtomicPolicySchema, {"category_id": "c", "trait_id": "t", "subtrait_id": None}),
+    (M.AtomicPolicy, {"schema": _SCHEMA, "bindings": {"rate": 0.1}}),
+    (EnumerationFilter, {"table": None, "group_prefix": ("Economic Policy",), "cross_tag": None,
+                         "trait_id": None}),
+    (ExportArtifact, {"text": "x\n"}),
+    (TraitMatrix, {"row_labels": ("a", "b"), "col_labels": ("t", "u"), "cells": _CELLS}),
+    (CorrelationMatrix, {"labels": ("a", "b"), "cells": _CELLS}),
+    (DistanceMatrix, {"labels": ("a", "b"), "cells": _CELLS}),
+    (MstResult, {"labels": ("a", "b"), "edges": ((0, 1, 1.5),)}),
+]
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, fields", VALUE_RECORDS, ids=[c.__name__ for c, _ in VALUE_RECORDS])
+def test_value_records_are_immutable_values(cls, fields):
+    record, twin = cls(**fields), cls(*fields.values())
+    assert record == twin
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    # A record hashes when its fields do, and equal records hash equal.
+    if all(map(_hashable, fields.values())):
+        assert hash(twin) == hash(record)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    if cls is M.Diagnostic:
+        shuffled = [cls("b", "a", "a"), cls("a", "b", "a"), cls("a", "a", "b"), cls("a", "a", "a")]
+        in_order = sorted(shuffled, key=lambda d: (d.code, d.path, d.message))
+        assert sorted(shuffled) == in_order == [shuffled[3], shuffled[2], shuffled[1], shuffled[0]]
