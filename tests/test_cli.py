@@ -1,3 +1,4 @@
+import argparse
 import ast
 import errno
 import importlib
@@ -9,130 +10,141 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import polytax
 from polytax import ingest
-from polytax.cli import main, run_cli
+from polytax.cli import COMMANDS, _parser, run_cli
+
+
+class Run(NamedTuple):
+    code: int
+    out: str
+    err: str
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def cli(capsys):
+    """Runs polytax in this process: cli(argv) -> Run(exit code, stdout, stderr)."""
+
+    def run(argv):
+        code = run_cli(argv)
+        return Run(code, *capsys.readouterr())
+
+    return run
 
 
-def test_validate_bundled_file_exits_zero(runner, dataset_file):
-    result = runner.invoke(main, ["validate", dataset_file])
-    assert result.exit_code == 0
-    assert result.output.startswith("OK: 23 traits, 97 categories, 9 tables")
+def test_validate_bundled_file_exits_zero(cli, dataset_file):
+    result = cli(["validate", dataset_file])
+    assert result.code == 0
+    assert result.out.startswith("OK: 23 traits, 97 categories, 9 tables")
 
 
-def test_validate_broken_file_exits_one(runner, tmp_path):
+def test_validate_broken_file_exits_one(cli, tmp_path):
     bad = tmp_path / "bad.taxonomy.json"
     bad.write_text("{not json", encoding="utf-8")
-    result = runner.invoke(main, ["validate", str(bad)])
-    assert result.exit_code == 1
+    result = cli(["validate", str(bad)])
+    assert result.code == 1
 
 
-def test_validate_missing_file_is_usage_error(runner):
-    result = runner.invoke(main, ["validate", "/no/such/file.json"])
-    assert result.exit_code == 2
+def test_validate_missing_file_is_usage_error(cli):
+    result = cli(["validate", "/no/such/file.json"])
+    assert result.code == 2
 
 
-def test_policies_count_table(runner):
-    result = runner.invoke(main, ["policies", "count", "--table", "open-market-operations"])
-    assert result.exit_code == 0
-    assert result.output.strip() == "10"
+def test_policies_count_table(cli):
+    result = cli(["policies", "count", "--table", "open-market-operations"])
+    assert result.code == 0
+    assert result.out.strip() == "10"
 
 
-def test_policies_count_total(runner):
-    result = runner.invoke(main, ["policies", "count"])
-    assert result.output.strip() == "262"
+def test_policies_count_total(cli):
+    result = cli(["policies", "count"])
+    assert result.out.strip() == "262"
 
 
-def test_policies_count_by_table(runner):
-    result = runner.invoke(main, ["policies", "count", "--by", "table"])
-    assert result.exit_code == 0
-    counts = dict(line.split(": ") for line in result.output.splitlines())
+def test_policies_count_by_table(cli):
+    result = cli(["policies", "count", "--by", "table"])
+    assert result.code == 0
+    counts = dict(line.split(": ") for line in result.out.splitlines())
     assert counts["income-tax"] == "37"
     assert counts["financial-markets"] == "6"
 
 
-def test_policies_count_by_honours_the_filter(runner):
+def test_policies_count_by_honours_the_filter(cli):
     argv = ["policies", "count", "--by", "table", "--table", "open-market-operations"]
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 0
-    assert result.output == "open-market-operations: 10\n"
-    expanded = runner.invoke(main, ["policies", "count", "--by", "trait", "--expand-subtraits"])
-    listed = runner.invoke(main, ["policies", "list", "--expand-subtraits"])
-    total = sum(int(line.split(": ")[1]) for line in expanded.output.splitlines())
-    assert total == len(listed.output.splitlines())
+    result = cli(argv)
+    assert result.code == 0
+    assert result.out == "open-market-operations: 10\n"
+    expanded = cli(["policies", "count", "--by", "trait", "--expand-subtraits"])
+    listed = cli(["policies", "list", "--expand-subtraits"])
+    total = sum(int(line.split(": ")[1]) for line in expanded.out.splitlines())
+    assert total == len(listed.out.splitlines())
 
 
-def test_policies_list_matches_count(runner):
-    listed = runner.invoke(main, ["policies", "list", "--table", "debt-and-credit"])
-    counted = runner.invoke(main, ["policies", "count", "--table", "debt-and-credit"])
-    assert len(listed.output.splitlines()) == int(counted.output.strip())
+def test_policies_list_matches_count(cli):
+    listed = cli(["policies", "list", "--table", "debt-and-credit"])
+    counted = cli(["policies", "count", "--table", "debt-and-credit"])
+    assert len(listed.out.splitlines()) == int(counted.out.strip())
 
 
-def test_policies_list_bad_table_exits_one(runner):
-    result = runner.invoke(main, ["policies", "list", "--table", "nope"])
-    assert result.exit_code == 1
+def test_policies_list_bad_table_exits_one(cli):
+    result = cli(["policies", "list", "--table", "nope"])
+    assert result.code == 1
 
 
-def test_tree_text_starts_at_root(runner):
-    result = runner.invoke(main, ["tree"])
-    assert result.exit_code == 0
-    assert result.output.splitlines()[0] == "Economic Policy [group]"
+def test_tree_text_starts_at_root(cli):
+    result = cli(["tree"])
+    assert result.code == 0
+    assert result.out.splitlines()[0] == "Economic Policy [group]"
 
 
-def test_tree_dot(runner):
-    result = runner.invoke(main, ["tree", "--format", "dot"])
-    assert "economic_policy -> stabilization_policy" in result.output
+def test_tree_dot(cli):
+    result = cli(["tree", "--format", "dot"])
+    assert "economic_policy -> stabilization_policy" in result.out
 
 
-def test_matrix_shape(runner):
-    result = runner.invoke(main, ["matrix", "--null-mode", "exclude"])
-    lines = result.output.splitlines()
+def test_matrix_shape(cli):
+    result = cli(["matrix", "--null-mode", "exclude"])
+    lines = result.out.splitlines()
     assert len(lines) == 1 + 55
     assert lines[0].count(",") == 23
 
 
-def test_corr_has_empty_cells_in_include_mode(runner):
-    result = runner.invoke(main, ["corr", "--null-mode", "include"])
-    amnesty = next(l for l in result.output.splitlines() if l.startswith("tax-amnesty,"))
+def test_corr_has_empty_cells_in_include_mode(cli):
+    result = cli(["corr", "--null-mode", "include"])
+    amnesty = next(l for l in result.out.splitlines() if l.startswith("tax-amnesty,"))
     assert set(amnesty.split(",")[1:]) == {""}
 
 
-def test_dist_writes_file(runner, tmp_path):
+def test_dist_writes_file(cli, tmp_path):
     out = tmp_path / "dist.csv"
-    result = runner.invoke(main, ["dist", "--out", str(out)])
-    assert result.exit_code == 0
-    assert result.output == ""
+    result = cli(["dist", "--out", str(out)])
+    assert result.code == 0
+    assert (result.out, result.err) == ("", "")
     assert out.read_text(encoding="utf-8").splitlines()[0].startswith(",")
 
 
-def test_mst_collapse_dot_has_null_policy(runner):
-    result = runner.invoke(main, ["mst", "--null-mode", "collapse", "--format", "dot"])
-    assert result.exit_code == 0
-    assert "null_policy" in result.output
-    assert result.output.count(" -- ") == 55
+def test_mst_collapse_dot_has_null_policy(cli):
+    result = cli(["mst", "--null-mode", "collapse", "--format", "dot"])
+    assert result.code == 0
+    assert "null_policy" in result.out
+    assert result.out.count(" -- ") == 55
 
 
-def test_mst_csv(runner):
-    result = runner.invoke(main, ["mst", "--null-mode", "exclude", "--format", "csv"])
-    assert len(result.output.splitlines()) == 1 + 55
+def test_mst_csv(cli):
+    result = cli(["mst", "--null-mode", "exclude", "--format", "csv"])
+    assert len(result.out.splitlines()) == 1 + 55
 
 
-def test_bad_null_mode_is_usage_error(runner):
-    result = runner.invoke(main, ["matrix", "--null-mode", "drop"])
-    assert result.exit_code == 2
+def test_bad_null_mode_is_usage_error(cli):
+    result = cli(["matrix", "--null-mode", "drop"])
+    assert result.code == 2
 
 
-def test_merge_command(runner, dataset_file, tmp_path):
+def test_merge_command(cli, dataset_file, tmp_path):
     ext = tmp_path / "ext.json"
     ext.write_text(json.dumps({
         "traits": [{"id": "payment-rail", "name": "Payment Rail"}],
@@ -143,8 +155,8 @@ def test_merge_command(runner, dataset_file, tmp_path):
         }],
     }), encoding="utf-8")
     out = tmp_path / "merged.taxonomy.json"
-    result = runner.invoke(main, ["merge", dataset_file, str(ext), "--out", str(out)])
-    assert result.exit_code == 0
+    result = cli(["merge", dataset_file, str(ext), "--out", str(out)])
+    assert result.code == 0
     merged, diags = ingest.parse_taxonomy_document(out.read_text(encoding="utf-8"))
     assert diags == []
     assert len(merged.traits) == 24
@@ -152,7 +164,7 @@ def test_merge_command(runner, dataset_file, tmp_path):
 
 
 @pytest.mark.parametrize("to_file", [False, True])
-def test_merge_writes_a_lone_surrogate_as_an_escape(runner, dataset_file, tmp_path, to_file):
+def test_merge_writes_a_lone_surrogate_as_an_escape(cli, dataset_file, tmp_path, to_file):
     doc = json.loads(Path(dataset_file).read_text(encoding="utf-8"))
     doc["categories"][0]["name"] = "\ud800"
     base = tmp_path / "base.json"
@@ -160,39 +172,37 @@ def test_merge_writes_a_lone_surrogate_as_an_escape(runner, dataset_file, tmp_pa
     ext = tmp_path / "ext.json"
     ext.write_text("{}", encoding="utf-8")
     out = tmp_path / "merged.taxonomy.json"
-    result = runner.invoke(
-        main, ["merge", str(base), str(ext)] + (["--out", str(out)] if to_file else [])
-    )
-    assert result.exit_code == 0
-    text = out.read_text("utf-8") if to_file else result.stdout
+    result = cli(["merge", str(base), str(ext)] + (["--out", str(out)] if to_file else []))
+    assert result.code == 0
+    text = out.read_text("utf-8") if to_file else result.out
     assert '"name": "\\ud800"' in text
     merged, diags = ingest.parse_taxonomy_document(text)
     assert diags == [] and merged.categories[0].name == "\ud800"
 
 
-def test_merge_conflict_exits_one(runner, dataset_file, tmp_path):
+def test_merge_conflict_exits_one(cli, dataset_file, tmp_path):
     ext = tmp_path / "conflict.json"
     ext.write_text(json.dumps({
         "traits": [{"id": "tax-base", "name": "Tax Base Redux"}],
     }), encoding="utf-8")
-    result = runner.invoke(main, ["merge", dataset_file, str(ext)])
-    assert result.exit_code == 1
+    result = cli(["merge", dataset_file, str(ext)])
+    assert result.code == 1
 
 
-def test_show_category(runner):
-    result = runner.invoke(main, ["show", "Carucage"])
-    assert result.exit_code == 0
-    assert result.output.splitlines()[0] == "category carucage: Carucage"
+def test_show_category(cli):
+    result = cli(["show", "Carucage"])
+    assert result.code == 0
+    assert result.out.splitlines()[0] == "category carucage: Carucage"
 
 
-def test_show_ambiguous_exits_one(runner):
-    result = runner.invoke(main, ["show", "Tax"])
-    assert result.exit_code == 1
+def test_show_ambiguous_exits_one(cli):
+    result = cli(["show", "Tax"])
+    assert result.code == 1
 
 
-def test_show_miss_exits_one(runner):
-    result = runner.invoke(main, ["show", "Window Tax"])
-    assert result.exit_code == 1
+def test_show_miss_exits_one(cli):
+    result = cli(["show", "Window Tax"])
+    assert result.code == 1
 
 
 def test_run_cli_exit_codes(capsys):
@@ -298,19 +308,15 @@ BAD_INPUTS = {
 }
 
 
-def leaf_commands(group, prefix=()):
-    """The argv prefix of every command under group that is not a group."""
-    for name, command in group.commands.items():
-        if isinstance(command, click.Group):
-            yield from leaf_commands(command, prefix + (name,))
-        else:
-            yield prefix + (name,)
+def leaf_commands():
+    """The argv prefix of every command in the command table that is not a group."""
+    return [path for path, _, _, run in COMMANDS if run is not None]
 
 
 def test_surrogate_rows_cover_every_command():
     rows = [argv for argv, _, _, expected in BAD_INPUTS.values() if expected == UNENCODABLE]
     uncovered = [
-        leaf for leaf in leaf_commands(main)
+        leaf for leaf in leaf_commands()
         if not any(tuple(argv[:len(leaf)]) == leaf for argv in rows)
     ]
     # validate prints only counts, and merge writes a lone surrogate as a
@@ -319,7 +325,7 @@ def test_surrogate_rows_cover_every_command():
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, case):
+def test_bad_input_exits_one_without_traceback(cli, monkeypatch, dataset_file, tmp_path, case):
     files = {
         "@dataset": dataset_file,
         "@missing": str(tmp_path / "missing.json"),
@@ -345,17 +351,36 @@ def test_bad_input_exits_one_without_traceback(runner, dataset_file, tmp_path, c
         path.write_bytes(data)
         files[f"@{name}"] = str(path)
     argv, env, exit_code, expected = BAD_INPUTS[case]
-    result = runner.invoke(
-        main,
-        [files.get(a, a) for a in argv],
-        env={k: files.get(v, v) for k, v in env.items()},
-    )
-    assert result.exit_code == exit_code
-    # Any other exception escaping main is printed as a traceback by
-    # `python -m polytax.cli`.
-    assert type(result.exception) is SystemExit
-    assert expected in result.stderr
-    assert "Traceback" not in result.stderr
+    for key, value in env.items():
+        monkeypatch.setenv(key, files.get(value, value))
+    result = cli([files.get(a, a) for a in argv])
+    assert result.code == exit_code
+    # run_cli returned an exit code: any exception escaping it is printed as
+    # a traceback by `python -m polytax.cli`.
+    assert type(result.code) is int
+    assert expected in result.err
+    assert "Traceback" not in result.err
+
+
+def test_every_command_and_argument_has_help():
+    """Each subcommand and each argument but -h has a help string."""
+    visited, missing = [], []
+
+    def walk(parser):
+        visited.append(parser.prog)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                unhelped = [a for a in action._choices_actions if not a.help]
+                missing.extend(f"{parser.prog} {a.dest}" for a in unhelped)
+                for sub in action.choices.values():
+                    walk(sub)
+            elif action.option_strings != ["-h", "--help"] and not action.help:
+                missing.append(f"{parser.prog} {action.dest}")
+
+    walk(_parser())
+    commands = [" ".join(("polytax", *path)) for path, *_ in COMMANDS]
+    assert sorted(visited) == sorted(["polytax", *commands])
+    assert missing == []
 
 
 def subprocess_env():
@@ -368,7 +393,8 @@ def subprocess_env():
 
 
 # Imports polytax, then runs each command of argv lists in turn; numpy must
-# stay unloaded until the mst command, which must load it.
+# stay unloaded until the mst command, which must load it, and click must
+# never load.
 COLD_PATH_SCRIPT = """
 import json, sys
 import polytax
@@ -377,8 +403,10 @@ from polytax.cli import run_cli
 for argv in json.loads(sys.argv[1]):
     assert run_cli(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+    assert "click" not in sys.modules, argv
 assert run_cli(["mst"]) == 0
 assert "numpy" in sys.modules, "mst"
+assert "click" not in sys.modules, "mst"
 """
 
 

@@ -8,11 +8,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from polytax import ingest
 from polytax.analytics import NULL_MODES
-from polytax.cli import main
+from polytax.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 HASHES = json.loads((GOLDEN / "hashes.json").read_text(encoding="utf-8"))
@@ -46,8 +45,10 @@ def test_every_artifact_has_a_pinned_hash():
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
-def test_cli_artifact_hash(name, dataset_file):
+def test_cli_artifact_hash(name, dataset_file, capsys, monkeypatch):
+    monkeypatch.delenv(ingest.DATA_ENV_VAR, raising=False)
     argv = [a.replace("{dataset}", dataset_file) for a in ARTIFACTS[name]]
-    result = CliRunner().invoke(main, argv, env={ingest.DATA_ENV_VAR: None})
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == HASHES[name]
+    code = run_cli(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HASHES[name]
