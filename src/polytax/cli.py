@@ -231,7 +231,11 @@ def run_cli(argv) -> int:
         except BrokenPipeError:
             # A closed pipe: point stdout at devnull, so that the
             # interpreter's flush at exit stays quiet too.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         except (OSError, UnicodeEncodeError) as exc:
             _write_err(f"Error: {exc}")
     except OSError:

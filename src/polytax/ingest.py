@@ -4,12 +4,15 @@ A document is a UTF-8 JSON object: schema_version "1", meta (an object),
 the lists traits, channels, categories and tables, and tree (one node
 object). The field tables below (_TRAIT, _CATEGORY, _NODE, ...) declare
 each record's keys, JSON kinds, defaults and dump order; parsing and
-serialization both read them. Parsing is total: a value of another kind
-is dropped with an E_SCHEMA at its JSON path (null counts as missing),
-and a file that cannot be read, decoded or nested as deeply gives
-E_SYNTAX. The tables alone say which traits a category can implement
-(TaxonomyModel.implementable_trait_ids); a category's inline
-implementable_trait_ids key is only checked against its table rows.
+serialization both read them. Serialization writes each record's text
+straight from its field table; the generic emitter _dumps writes only meta
+and a value whose type is not the one its field declares. Parsing is
+total: a value of another kind is dropped with an E_SCHEMA at its JSON
+path (null counts as missing), and a file that cannot be read, decoded or
+nested as deeply gives E_SYNTAX. The tables alone say which traits a
+category can implement (TaxonomyModel.implementable_trait_ids); a
+category's inline implementable_trait_ids key is only checked against its
+table rows.
 
 parse_taxonomy_document, parse_document_dict, load_model_from_path,
 merge_extension and serialize_taxonomy_document pause the cyclic garbage
@@ -23,8 +26,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, Optional
 
 from .model import (
@@ -131,13 +135,20 @@ class _Record:
     (key, kind, default, attribute) in dump order. The kind is "string",
     "strings" (a list of strings, held as the type of its default: a tuple,
     or a frozenset that is dumped sorted) or the _Record of a nested list.
-    A field given as (key, kind, default) sets the attribute of that name."""
+    A field given as (key, kind, default) sets the attribute of that name.
+    values(obj) reads the fields' values in one call (a record has two
+    fields or more, so it gives a tuple); plan holds each field's key, key
+    text, kind and the class of its value, for serializing."""
 
     def __init__(self, cls: type, *fields: tuple):
         self.cls = cls
         self.fields = tuple((key, kind, default, attr[0] if attr else key)
                             for key, kind, default, *attr in fields)
         self.required = tuple(f[0] for f in self.fields if f[2] is _REQUIRED)
+        self.values = attrgetter(*(f[3] for f in self.fields))
+        self.plan = tuple((key, encode_basestring(key) + ": ", kind,
+                           str if kind == "string" else default.__class__)
+                          for key, kind, default, _ in self.fields)
 
 
 _ID = ("id", "string", _REQUIRED)
@@ -325,23 +336,24 @@ def parse_document_dict(
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _dump_value(value: Any, kind: Any, cls: type) -> Any:
+    if kind == "string":
+        return value
+    if kind == "strings":
+        return sorted(value) if cls is frozenset else list(value)
+    return [_dump_record(item, kind) for item in value]
+
+
 def _dump_record(obj: Any, record: _Record) -> dict:
-    out = {}
-    for key, kind, default, attr in record.fields:
-        value = getattr(obj, attr)
-        if kind == "string":
-            out[key] = value
-        elif kind == "strings":
-            out[key] = sorted(value) if default.__class__ is frozenset else list(value)
-        else:
-            out[key] = [_dump_record(item, kind) for item in value]
-    return out
+    return {key: _dump_value(value, kind, cls)
+            for (key, _, kind, cls), value in zip(record.plan, record.values(obj))}
 
 
 def model_to_document(model: TaxonomyModel) -> dict:
     """Canonical document form: stable key order, document list order. Each
     node iter_tree visits is dumped once, as a child of the last one a level
-    up; a node's fields that are None and its empty children are left out."""
+    up; a node's fields that are None and its empty children are left out.
+    serialize_taxonomy_document writes the bytes of its json.dumps."""
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "meta": dict(model.metadata)}
     for key, record in _SECTIONS.items():
         doc[key] = [_dump_record(item, record) for item in getattr(model, key)]
@@ -454,14 +466,134 @@ def _dumps(value: Any) -> str:
     return "".join(chunks)
 
 
+# The newline-and-indent text of each level a record reaches (a subtrait's
+# parameters sit at level 7), and the separators that follow an item.
+_NEWLINES = tuple("\n" + "  " * level for level in range(8))
+_SEPARATORS = tuple("," + newline for newline in _NEWLINES)
+_QUOTED_SEPARATORS = tuple(f'"{separator}"' for separator in _SEPARATORS)
+
+
+def _reindented(value: Any, newline: str) -> str:
+    """_dumps(value) indented to the level of newline, without the final newline."""
+    return _dumps(value)[:-1].replace("\n", newline)
+
+
+# The writers below append pieces to one list: each item and then the
+# separator of its level, the last separator overwritten on closing, and
+# the newline and indent of each level shared, as in _dumps.
+
+def _put_strings(out: list, items: Any, level: int) -> None:
+    """The JSON list of items, its key at indent level `level`. Strings that
+    need no escape are quoted by one join; a list that holds another value
+    is written by _dumps."""
+    if not items:
+        out.append("[]")
+        return
+    try:
+        joined = "".join(items)
+    except TypeError:
+        out.append(_reindented(list(items), _NEWLINES[level]))
+        return
+    separator = _SEPARATORS[level + 1]
+    if not joined.isascii():
+        text = separator.join(map(_string_text, items))
+    elif len(encode_basestring(joined)) == len(joined) + 2:
+        text = '"' + _QUOTED_SEPARATORS[level + 1].join(items) + '"'
+    else:
+        text = separator.join(map(encode_basestring, items))
+    out += ("[", _NEWLINES[level + 1], text, _NEWLINES[level], "]")
+
+
+def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
+    """The JSON list of the records items, its key at indent level `level`.
+    A value whose class is not the one its field declares, say an int id
+    in a model built in code, is written by _dumps."""
+    if not items:
+        out.append("[]")
+        return
+    append = out.append
+    newline, separator = _NEWLINES[level + 2], _SEPARATORS[level + 2]
+    out += ("[", _NEWLINES[level + 1])
+    for obj in items:
+        out += ("{", newline)
+        for (_, key_text, kind, cls), value in zip(record.plan, record.values(obj)):
+            append(key_text)
+            if value.__class__ is not cls:
+                append("null" if value is None and cls is str
+                       else _reindented(_dump_value(value, kind, cls), newline))
+            elif cls is str:
+                append(encode_basestring(value) if value.isascii() else _string_text(value))
+            elif kind == "strings":
+                _put_strings(out, sorted(value) if cls is frozenset else value, level + 2)
+            else:
+                _put_records(out, value, kind, level + 2)
+            append(separator)
+        out[-1] = _NEWLINES[level + 1]
+        out += ("}", _SEPARATORS[level + 1])
+    out[-1] = _NEWLINES[level]
+    append("]")
+
+
+def _put_tree(out: list, model: TaxonomyModel) -> None:
+    """The tree's JSON object, opened at indent level 1, from one iter_tree
+    walk. A node at depth d has its keys at level 2d + 2. When the depth
+    grows, the node opens the children list of the node before it. When it
+    stays or falls from p to d (the end of the walk counts as d = 0), the
+    objects and lists in between close; their brackets sit at levels 2p + 1
+    down to 2d + 1, "}" at odd levels and "]" at even ones."""
+    append = out.append
+    newlines, separators = list(_NEWLINES), list(_SEPARATORS)
+    previous = -1
+    for node, depth in chain(iter_tree(model), ((None, 0),)):
+        level = 2 * depth + 2
+        while len(newlines) <= level:
+            newlines.append(newlines[-1] + "  ")
+            separators.append("," + newlines[-1])
+        if depth > previous:
+            if depth:
+                out += ('"children": [', newlines[level - 1])
+        else:
+            for bracket in range(2 * previous + 1, 2 * depth, -1):
+                if out[-1] is newlines[bracket + 1]:  # a node with no fields
+                    out[-1] = "}"
+                else:
+                    out[-1] = newlines[bracket]
+                    append("]}"[bracket % 2])
+                append(separators[bracket])
+            if node is None:
+                return
+        newline, separator = newlines[level], separators[level]
+        out += ("{", newline)
+        for (_, key_text, _, _), value in zip(_NODE.plan, _NODE.values(node)):
+            if value.__class__ is str:
+                append(key_text)
+                append(encode_basestring(value) if value.isascii() else _string_text(value))
+                append(separator)
+            elif value is not None:
+                out += (key_text, _reindented(value, newline), separator)
+        previous = depth
+
+
 @_collection_paused()
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
     """Deterministic text such that parse(serialize(m)) == m: the bytes of
     json.dumps(model_to_document(m), indent=2, ensure_ascii=False) and a
     newline, except that a lone surrogate is written as a \\uXXXX escape,
     so the text always encodes to UTF-8. Serializing has no depth limit;
-    decoding the text still gives E_SYNTAX near 500 tree levels."""
-    return _dumps(model_to_document(model))
+    decoding the text still gives E_SYNTAX near 500 tree levels. Records
+    are written straight from their field tables, into one list of pieces
+    that is joined once."""
+    out = ["{", _NEWLINES[1], '"schema_version": ', encode_basestring(SCHEMA_VERSION),
+           _SEPARATORS[1], '"meta": ', _reindented(dict(model.metadata), _NEWLINES[1])]
+    for key, record in _SECTIONS.items():
+        out += (_SEPARATORS[1], f'"{key}": ')
+        _put_records(out, getattr(model, key), record, 1)
+    if model.tree is not None:
+        out += (_SEPARATORS[1], '"tree": ')
+        _put_tree(out, model)
+        out.pop()
+    out.append("\n}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

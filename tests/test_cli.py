@@ -544,6 +544,18 @@ def test_closed_pipe_stays_quiet(dataset_file):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_in_process_leaves_no_descriptor_open(monkeypatch, dataset_file):
+    extension = str(Path(__file__).parent / "golden" / "extension.json")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert run_cli(["merge", dataset_file, extension]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 ROOT = Path(__file__).parent.parent
 
 

@@ -189,6 +189,108 @@ def test_lone_surrogates_serialize_as_escapes(model):
     assert diags == [] and again == odd
 
 
+def text_model(odd):
+    """A model with odd in every string-bearing field kind: strings, tuples
+    of strings, a frozenset, parameter and subtrait records, tree labels,
+    and meta keys and values."""
+    param = M.ParameterSpec(f"p{odd}", f"rate{odd}")
+    sub = M.SubtraitDef(f"s{odd}", f"S{odd}", (param,), odd)
+    return M.TaxonomyModel(
+        traits=(M.TraitDef(f"t{odd}", f"T{odd}", (param,), (sub,), odd),),
+        categories=(M.PolicyCategory(f"c{odd}", f"C{odd}", odd, (param,), (odd, f"G{odd}"),
+                                     frozenset({f"b{odd}", f"a{odd}"}), f"ch{odd}"),),
+        channels=(M.TransactionChannel(f"ch{odd}", f"gov{odd}", (f"Op{odd}", odd), f"Ch{odd}", odd),),
+        tables=(M.CheckTable(f"m{odd}", f"M{odd}", (f"t{odd}",),
+                             (M.TableRow(f"c{odd}", (f"t{odd}", odd)),)),),
+        nodes=(M.TaxonomyNode(f"n{odd}", f"N{odd}", "category", (), f"c{odd}"),
+               M.TaxonomyNode(f"r{odd}", f"R{odd}", "group", (f"n{odd}",))),
+        root_id=f"r{odd}",
+        metadata={f"k{odd}": [odd, {odd: [odd]}]},
+    )
+
+
+# Non-ASCII text, a line separator json.dumps leaves raw, and text that
+# needs escapes: a control character, a quote and a backslash.
+ODD_TEXTS = ["é", "€", "\u2028", "\x01", '"', "\\", 'é€\u2028\x01"\\']
+
+
+@pytest.mark.parametrize("odd", ODD_TEXTS)
+def test_serializer_writes_the_bytes_of_json_dumps_on_odd_text(odd):
+    m = text_model(odd)
+    text = ingest.serialize_taxonomy_document(m)
+    assert text == stdlib_dumps(ingest.model_to_document(m))
+    assert ingest.parse_taxonomy_document(text.encode("utf-8"))[0] == m
+
+
+def test_lone_surrogates_in_every_field_kind_encode_and_parse_back():
+    m = text_model('é\ud800"\udc80')
+    text = ingest.serialize_taxonomy_document(m)
+    assert "\ud800" not in text and "\\ud800" in text
+    assert ingest.parse_taxonomy_document(text.encode("utf-8"))[0] == m
+
+
+@pytest.mark.parametrize("children", [(), ("y",)])
+def test_values_of_another_type_serialize_as_json_dumps_writes_them(children):
+    """A model built in code may hold values no document gives: an int id, a
+    tuple where a frozenset belongs, a list of records, a None label, a node
+    with no fields at all, and a tuple inside meta."""
+    param = M.ParameterSpec("p", 2)
+    m = M.TaxonomyModel(
+        traits=(M.TraitDef(7, "Seven", [param]), M.TraitDef("t", "T", (param,), (), None)),
+        categories=(M.PolicyCategory("c", "C", group_path=("G", 3), cross_tags=("b", "a")),),
+        tables=(M.CheckTable("m", "M", ["t"], (M.TableRow("c", ("t", 1.5)),)),),
+        nodes=(M.TaxonomyNode("r", None, "group", ("x", None)), M.TaxonomyNode("x", "X", 5),
+               M.TaxonomyNode(None, None, None, children), M.TaxonomyNode("y", "Y", "group")),
+        root_id="r",
+        metadata={"pair": (1, 2.5), "none": None, "flag": True},
+    )
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+
+
+def large_model():
+    """About 1,500 categories, every list field both empty and not, and a
+    150-deep chain of groups that branches at each level and ends in a
+    child id that resolves to no node."""
+    params = (M.ParameterSpec("rate", "rate"), M.ParameterSpec("cap", "amount"))
+    traits = tuple(
+        M.TraitDef(f"t{i}", f"T{i}", params[:i % 3], tuple(
+            M.SubtraitDef(f"t{i}-{j}", f"T{i} {j}", params[:j % 3], "d" * (j % 2))
+            for j in range(i % 3)), "about" * (i % 2))
+        for i in range(12)
+    )
+    categories = tuple(
+        M.PolicyCategory(f"c{i}", f"C{i}", "x" * (i % 2), params[:i % 3],
+                         tuple(f"G{k}" for k in range(i % 4)),
+                         frozenset(f"tag{k}" for k in range(i % 3)),
+                         f"ch{i % 3}" if i % 2 else None)
+        for i in range(1500)
+    )
+    channels = tuple(M.TransactionChannel(f"ch{i}", "government", ("Operating Income", "Revenue")[:i],
+                                          f"Ch{i}") for i in range(3))
+    tables = (
+        M.CheckTable("empty", "Empty", (), ()),
+        M.CheckTable("main", "Main", tuple(t.id for t in traits), tuple(
+            M.TableRow(c.id, tuple(t.id for t in traits[:i % 4])) for i, c in enumerate(categories))),
+    )
+    depth = 150
+    # Even levels list their leaf first, odd levels last, so the walk climbs
+    # one level at a time in some places and several at once in others.
+    groups = tuple(
+        M.TaxonomyNode(f"g{d}", f"G{d}", "group",
+                       ("missing",) if d + 1 == depth
+                       else (f"leaf{d}", f"g{d + 1}") if d % 2 == 0 else (f"g{d + 1}", f"leaf{d}"))
+        for d in range(depth)
+    )
+    leaves = tuple(M.TaxonomyNode(f"leaf{d}", f"C{d}", "category", (), f"c{d}") for d in range(depth))
+    return M.TaxonomyModel(traits=traits, categories=categories, nodes=groups + leaves,
+                           root_id="g0", channels=channels, tables=tables)
+
+
+def test_serializer_writes_the_bytes_of_json_dumps_on_a_large_model():
+    m = large_model()
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+
+
 # ---------------------------------------------------------------------------
 # merge
 # ---------------------------------------------------------------------------
@@ -546,6 +648,9 @@ def test_invalid_tree_serializes_resolvable_children_once():
     tree = ingest.model_to_document(model)["tree"]
     assert tree == {"id": "r", "label": "R", "kind": "group",
                     "children": [{"id": "x", "label": "X", "kind": "group"}]}
+    text = ingest.serialize_taxonomy_document(model)
+    assert json.loads(text)["tree"] == tree
+    assert text == stdlib_dumps(ingest.model_to_document(model))
 
 
 # Model attributes that parsing fills but no field table dumps: a node's
@@ -601,7 +706,7 @@ def test_paused_call_leaves_the_collector_as_it_found_it(
     # The collector's state inside the call, as each bulk step sees it.
     inside = []
     for module, attr in (
-        (ingest, "validate_model"), (ingest, "model_to_document"), (enumeration, "_checkmarks"),
+        (ingest, "validate_model"), (ingest, "_put_records"), (enumeration, "_checkmarks"),
     ):
         def spy(*args, _step=getattr(module, attr)):
             inside.append(gc.isenabled())
