@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -598,6 +600,70 @@ def test_string_section_is_one_schema_error():
     assert [d.path for d in diags if d.code == "E_SCHEMA"] == ["/categories"]
 
 
+# Values substituted at every path of SMALL for the outcome pin below.
+PIN_VALUES = [None, True, 0, 1.5, "", "x", [], ["x"], [1], {}, {"id": "x"}, {"id": 1}]
+# The sha256 of pinned_outcomes(), taken before parsing checked each value's
+# exact class; a parser change that alters a model, a diagnostic or a merge
+# outcome for any of these documents changes it.
+PINNED_OUTCOMES_SHA256 = "9bca1f98a5afca09b81357758ee474bf9974117378f34a2eac88bccd96dff167"
+
+
+def pinned_documents():
+    for path in SMALL_PATHS:
+        for value in PIN_VALUES:
+            yield path, value, substitute(SMALL, path, value)
+
+
+def pinned_outcomes():
+    """For each pinned document: the parsed model's repr, the full sorted
+    diagnostics, and what merge_extension(SMALL_MODEL, doc) returns or raises."""
+    for path, value, doc in pinned_documents():
+        model, diags = ingest.parse_document_dict(doc)
+        try:
+            merged = repr(ingest.merge_extension(SMALL_MODEL, doc))
+        except ingest.IngestError as exc:
+            merged = repr(sorted(exc.diagnostics))
+        yield repr((path, value, repr(model), sorted(diags), merged))
+
+
+def test_parse_and_merge_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for outcome in pinned_outcomes():
+        digest.update(outcome.encode("utf-8", "surrogatepass") + b"\n")
+    assert digest.hexdigest() == PINNED_OUTCOMES_SHA256
+
+
+def test_subclass_containers_parse_as_their_plain_values():
+    for _, _, doc in pinned_documents():
+        text = json.dumps(doc)
+        plain = ingest.parse_document_dict(json.loads(text))
+        assert ingest.parse_document_dict(json.loads(text, object_pairs_hook=OrderedDict)) == plain
+
+
+class Text(str):
+    pass
+
+
+class Strings(list):
+    pass
+
+
+def test_subclass_values_parse_as_their_plain_values():
+    doc = json.loads(json.dumps(SMALL))
+    category = doc["categories"][0]
+    category["id"] = Text(category["id"])
+    category["group_path"] = Strings(category["group_path"])
+    doc["traits"][0]["parameters"] = Strings(doc["traits"][0]["parameters"])
+    doc["tables"][0]["rows"][1]["marks"] = Strings([Text("rate")])
+    doc["tree"]["children"] = Strings(doc["tree"]["children"])
+    doc["tree"]["label"] = Text(doc["tree"]["label"])
+    assert ingest.parse_document_dict(doc) == ingest.parse_document_dict(SMALL)
+    # A list subclass with a value of another kind gives the plain list's E_SCHEMA.
+    path = ("categories", 1, "group_path")
+    assert (ingest.parse_document_dict(substitute(doc, path, Strings([1])))
+            == ingest.parse_document_dict(substitute(SMALL, path, [1])))
+
+
 def deep_chain(depth):
     """A tree of `depth` nested groups, built without recursion."""
     node = {"id": f"g{depth}"}
@@ -613,6 +679,47 @@ def test_deep_tree_parses_validates_walks_and_exports():
     depths = [depth for _, depth in iter_tree(model)]
     assert depths == list(range(5001))
     assert export_tree_text(model).text.count("\n") == 5001
+
+
+def test_wrong_kind_deep_node_is_reported_at_its_full_path():
+    doc = deep_chain(300)
+    node = doc["tree"]
+    for _ in range(300):
+        node = node["children"][0]
+    node["children"] = [{"id": "ok", "label": 5}, 7]
+    _, diags = ingest.parse_document_dict(doc)
+    path = "/tree" + "/children/0" * 300
+    assert [(d.code, d.path) for d in diags if d.code == "E_SCHEMA"] == [
+        ("E_SCHEMA", path + "/children/0/label"),
+        ("E_SCHEMA", path + "/children/1"),
+    ]
+
+
+def test_wrong_kind_subtrait_parameter_is_reported_at_its_full_path():
+    doc = substitute(SMALL, ("traits", 1, "subtraits", 1, "parameters"),
+                     [{"name": "a", "kind": "amount"}, {"name": "b"}, {"name": "c", "kind": "x"}])
+    doc = substitute(doc, ("traits", 1, "subtraits", 1, "description"), 3)
+    model, diags = ingest.parse_document_dict(doc)
+    assert sorted(d.path for d in diags if d.code == "E_SCHEMA") == [
+        "/traits/1/subtraits/1/description",
+        "/traits/1/subtraits/1/parameters/1",
+    ]
+    assert model.traits[1].subtraits[1].parameters == (
+        M.ParameterSpec("a", "amount"), M.ParameterSpec("c", "x"))
+
+
+def test_validate_model_runs_once_per_parse_and_per_merge(monkeypatch):
+    calls = []
+
+    def spy(model, _validate=ingest.validate_model):
+        calls.append(model)
+        return _validate(model)
+
+    monkeypatch.setattr(ingest, "validate_model", spy)
+    model, _ = ingest.parse_document_dict(SMALL)
+    assert calls == [model]
+    merged = ingest.merge_extension(SMALL_MODEL, {"traits": [{"id": "new", "name": "New"}]})
+    assert calls == [model, merged]
 
 
 def test_deep_tree_serializes_without_recursion_limit():
