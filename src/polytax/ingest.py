@@ -4,15 +4,17 @@ A document is a UTF-8 JSON object: schema_version "1", meta (an object),
 the lists traits, channels, categories and tables, and tree (one node
 object). The field tables below (_TRAIT, _CATEGORY, _NODE, ...) declare
 each record's keys, JSON kinds, defaults and dump order; parsing and
-serialization both read them. Serialization writes each record's text
+serialization both read them. Parsing builds each record positionally,
+taking a value of its kind's exact JSON class (str, or a list of str) as
+is; any other goes to _field. Parsing is total: a value of another kind
+is dropped with an E_SCHEMA at its JSON path (null counts as missing; the
+path is formatted only then), and a file that cannot be read, decoded or
+nested as deeply gives E_SYNTAX. Serialization writes each record's text
 straight from its field table; the generic emitter _dumps writes only meta
-and a value whose type is not the one its field declares. Parsing is
-total: a value of another kind is dropped with an E_SCHEMA at its JSON
-path (null counts as missing), and a file that cannot be read, decoded or
-nested as deeply gives E_SYNTAX. The tables alone say which traits a
-category can implement (TaxonomyModel.implementable_trait_ids); a
-category's inline implementable_trait_ids key is only checked against its
-table rows.
+and a value whose type is not the one its field declares. The tables alone
+say which traits a category can implement
+(TaxonomyModel.implementable_trait_ids); a category's inline
+implementable_trait_ids key is only checked against its table rows.
 
 parse_taxonomy_document, parse_document_dict, load_model_from_path,
 merge_extension and serialize_taxonomy_document pause the cyclic garbage
@@ -100,9 +102,19 @@ def _schema_error(message: str, path: str) -> Diagnostic:
     return Diagnostic("E_SCHEMA", path, message)
 
 
-def _field(obj: dict, key: str, kind: str, path: str, diags, default=None) -> Any:
+def _path(loc) -> str:
+    """The JSON path of a location: () is the document, (parent, key, index)
+    is parent[key][index], or parent[key] if index is None; see _parse_tree."""
+    parts = []
+    while loc:
+        loc, key, index = loc[:3]
+        parts.append(f"/{key}" if index is None else f"/{key}/{index}")
+    return "".join(reversed(parts))
+
+
+def _field(obj: dict, key: str, kind: str, loc, diags, default=None) -> Any:
     """obj[key] if it has the JSON kind; a missing key or null gives default,
-    a value of another kind gives default and an E_SCHEMA at path/key."""
+    a value of another kind gives default and an E_SCHEMA at loc's path/key."""
     value = obj.get(key)
     if value is None:
         return default
@@ -110,20 +122,19 @@ def _field(obj: dict, key: str, kind: str, path: str, diags, default=None) -> An
         kind != "strings" or all(map(isinstance, value, repeat(str)))
     ):
         return value
-    diags.append(_schema_error(f"{key} is not of kind {kind!r}", f"{path}/{key}"))
+    diags.append(_schema_error(f"{key} is not of kind {kind!r}", _path((loc, key, None))))
     return default
 
 
-def _records(obj: dict, key: str, required: tuple[str, ...], path: str, diags):
-    """(item, item_path) for each object in the list obj[key] whose required
-    keys hold strings; every other item gets one E_SCHEMA."""
-    for i, item in enumerate(_field(obj, key, "list", path, diags, [])):
-        item_path = f"{path}/{key}/{i}"
-        if isinstance(item, dict) and all(isinstance(item.get(k), str) for k in required):
-            yield item, item_path
-        else:
-            message = "expected an object with string " + " and ".join(required)
-            diags.append(_schema_error(message, item_path))
+def _items(obj: dict, key: str, loc, diags, kind: str = "list") -> Any:
+    """obj[key] if it is a list (of strings, for kind "strings"), else see _field."""
+    value = obj.get(key)
+    try:
+        if value.__class__ is list and (kind == "list" or isinstance("".join(value), str)):
+            return value
+    except TypeError:  # join met an item that is not a string
+        pass
+    return _field(obj, key, kind, loc, diags, ())
 
 
 _REQUIRED = object()  # a string the record cannot lack; items without it are skipped
@@ -136,19 +147,25 @@ class _Record:
     "strings" (a list of strings, held as the type of its default: a tuple,
     or a frozenset that is dumped sorted) or the _Record of a nested list.
     A field given as (key, kind, default) sets the attribute of that name.
-    values(obj) reads the fields' values in one call (a record has two
-    fields or more, so it gives a tuple); plan holds each field's key, key
-    text, kind and the class of its value, for serializing."""
+    For serializing, values(obj) reads the fields' values in one call and
+    plan holds each field's key, key text, kind and value class. slots
+    holds (key, kind, default) per attribute in the class's order, for the
+    positional build: the kind is str (the exact class a value must have),
+    the class strings are held as, a _Record, or None for a node's children."""
 
     def __init__(self, cls: type, *fields: tuple):
         self.cls = cls
         self.fields = tuple((key, kind, default, attr[0] if attr else key)
                             for key, kind, default, *attr in fields)
         self.required = tuple(f[0] for f in self.fields if f[2] is _REQUIRED)
+        self.malformed = "expected an object with string " + " and ".join(self.required)
         self.values = attrgetter(*(f[3] for f in self.fields))
         self.plan = tuple((key, encode_basestring(key) + ": ", kind,
                            str if kind == "string" else default.__class__)
                           for key, kind, default, _ in self.fields)
+        by_attr = {attr: (key, kind if isinstance(kind, _Record) else held, default) for
+                   (key, kind, default, attr), (*_, held) in zip(self.fields, self.plan)}
+        self.slots = tuple(by_attr.get(attr, (attr, None, None)) for attr in cls._fields)
 
 
 _ID = ("id", "string", _REQUIRED)
@@ -190,27 +207,41 @@ def _unknown_keys(doc: dict) -> list[Diagnostic]:
     ]
 
 
-def _parse_record(item: dict, path: str, record: _Record, diags, **parse_only) -> Any:
-    values = parse_only
-    for key, kind, default, attr in record.fields:
-        if default is _REQUIRED:
-            values[attr] = item[key]
-        elif kind == "string":
-            if default is _FIRST:
-                default = item[record.required[0]]
-            values[attr] = _field(item, key, kind, path, diags, default)
-        elif kind == "strings":
-            values[attr] = default.__class__(_field(item, key, kind, path, diags, default))
+def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) -> Any:
+    """The record item at location loc, built positionally from its slots
+    (required fields first), or None after one E_SCHEMA at loc unless item
+    is an object whose required keys hold strings. A node's children are given."""
+    item = item if isinstance(item, dict) else {}  # then it lacks the first field
+    values = []
+    for key, kind, default in record.slots:
+        if kind is str:
+            value = item.get(key)
+            if value.__class__ is str:
+                pass
+            elif default is not _REQUIRED:
+                default = values[0] if default is _FIRST else default
+                value = _field(item, key, "string", loc, diags, default)
+            elif not isinstance(value, str):
+                diags.append(_schema_error(record.malformed, _path(loc)))
+                return None
+        elif kind is None:
+            value = children
+        elif kind.__class__ is _Record:
+            value = _parse_list(item, key, loc, kind, diags)
         else:
-            values[attr] = _parse_list(item, key, kind, path, diags)
-    return record.cls(**values)
+            value = kind(_items(item, key, loc, diags, "strings"))
+        values.append(value)
+    return tuple.__new__(record.cls, values)
 
 
-def _parse_list(obj: dict, key: str, record: _Record, path: str, diags) -> tuple:
-    return tuple(
-        _parse_record(item, item_path, record, diags)
-        for item, item_path in _records(obj, key, record.required, path, diags)
-    )
+def _parse_list(obj: dict, key: str, loc, record: _Record, diags) -> tuple:
+    """The records in the list obj[key], obj at location loc; see _parse_record."""
+    out = []
+    for i, item in enumerate(_items(obj, key, loc, diags)):
+        value = _parse_record(item, (loc, key, i), record, diags)
+        if value is not None:
+            out.append(value)
+    return tuple(out)
 
 
 def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
@@ -219,35 +250,44 @@ def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
     rows' marks are gathered only once a category has that key."""
     marks = None
     out = []
-    for item, path in _records(doc, "categories", _CATEGORY.required, "", diags):
-        inline = _field(item, "implementable_trait_ids", "strings", path, diags, [])
+    for i, item in enumerate(_items(doc, "categories", (), diags)):
+        loc = ((), "categories", i)
+        if (category := _parse_record(item, loc, _CATEGORY, diags)) is None:
+            continue
+        inline = _field(item, "implementable_trait_ids", "strings", loc, diags, [])
         if inline and marks is None:
             marks = table_marks(tables)
-        if inline and set(inline) != marks.get(item["id"], set()):
-            message = f"inline implementable_trait_ids disagree with table rows for {item['id']!r}"
-            diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{item['id']}", message))
-        out.append(_parse_record(item, path, _CATEGORY, diags))
+        if inline and set(inline) != marks.get(category.id, set()):
+            message = f"inline implementable_trait_ids disagree with table rows for {category.id!r}"
+            diags.append(Diagnostic("E_TABLE_MISMATCH", f"/categories/{category.id}", message))
+        out.append(category)
     return tuple(out)
 
 
 def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
     """The tree's nodes in post-order. The walk uses an explicit stack, so
     depth is not bounded by the recursion limit; it visits children last to
-    first, and reversing that pre-order gives the post-order."""
-    root = _field(doc, "tree", "object", "", diags)
+    first, and reversing that pre-order gives the post-order. Each stack
+    entry is a node's location (see _path) with the node at [3]."""
+    root = _field(doc, "tree", "object", (), diags)
     if root is None:
         return (), None
     if not isinstance(root.get("id"), str):
-        diags.append(_schema_error("expected an object with string id", "/tree"))
+        diags.append(_schema_error(_NODE.malformed, "/tree"))
         return (), None
     nodes: list[TaxonomyNode] = []
-    stack = [(root, "/tree")]
+    stack = [((), "tree", None, root)]
     while stack:
-        item, path = stack.pop()
-        children = list(_records(item, "children", _NODE.required, path, diags))
-        stack.extend(children)
-        ids = tuple(child["id"] for child, _ in children)
-        nodes.append(_parse_record(item, path, _NODE, diags, children=ids))
+        entry = stack.pop()
+        ids = []
+        for i, child in enumerate(_items(entry[3], "children", entry, diags)):
+            child_entry = (entry, "children", i, child)
+            if isinstance(child, dict) and isinstance(child.get("id"), str):
+                ids.append(child["id"])
+                stack.append(child_entry)
+            else:
+                diags.append(_schema_error(_NODE.malformed, _path(child_entry)))
+        nodes.append(_parse_record(entry[3], entry, _NODE, diags, tuple(ids)))
     nodes.reverse()
     return tuple(nodes), root["id"]
 
@@ -317,16 +357,16 @@ def parse_document_dict(
             diags.append(_schema_error(f"missing required section {section!r}", "/"))
     diags.extend(_unknown_keys(doc))
 
-    tables = _parse_list(doc, "tables", _TABLE, "", diags)
+    tables = _parse_list(doc, "tables", (), _TABLE, diags)
     nodes, root_id = _parse_tree(doc, diags)
     model = TaxonomyModel(
-        traits=_parse_list(doc, "traits", _TRAIT, "", diags),
+        traits=_parse_list(doc, "traits", (), _TRAIT, diags),
         categories=_categories(doc, tables, diags),
         nodes=nodes,
         root_id=root_id,
-        channels=_parse_list(doc, "channels", _CHANNEL, "", diags),
+        channels=_parse_list(doc, "channels", (), _CHANNEL, diags),
         tables=tables,
-        metadata=dict(_field(doc, "meta", "object", "", diags, {})),
+        metadata=dict(_field(doc, "meta", "object", (), diags, {})),
     )
     diags.extend(validate_model(model))
     return model, sorted(diags)
@@ -614,7 +654,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     diags = _unknown_keys(extension)
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
-    for table in _parse_list(extension, "tables", _TABLE, "", diags):
+    for table in _parse_list(extension, "tables", (), _TABLE, diags):
         if table.name not in by_name:
             tables.append(table)
             continue
@@ -638,9 +678,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             trait_columns=tuple(columns), rows=tuple(rows)
         )
 
-    new_traits = _parse_list(extension, "traits", _TRAIT, "", diags)
+    new_traits = _parse_list(extension, "traits", (), _TRAIT, diags)
     new_categories = _categories(extension, tables, diags)
-    new_channels = _parse_list(extension, "channels", _CHANNEL, "", diags)
+    new_channels = _parse_list(extension, "channels", (), _CHANNEL, diags)
     if diags:
         raise IngestError(sorted(diags))
 
