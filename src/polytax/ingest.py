@@ -129,10 +129,10 @@ def _field(obj: dict, key: str, kind: str, loc, diags, default=None) -> Any:
 def _items(obj: dict, key: str, loc, diags, kind: str = "list") -> Any:
     """obj[key] if it is a list (of strings, for kind "strings"), else see _field."""
     value = obj.get(key)
-    try:
+    try:  # join raises TypeError on an item that is not a string
         if value.__class__ is list and (kind == "list" or isinstance("".join(value), str)):
             return value
-    except TypeError:  # join met an item that is not a string
+    except TypeError:
         pass
     return _field(obj, key, kind, loc, diags, ())
 
@@ -211,7 +211,7 @@ def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) 
     """The record item at location loc, built positionally from its slots
     (required fields first), or None after one E_SCHEMA at loc unless item
     is an object whose required keys hold strings. A node's children are given."""
-    item = item if isinstance(item, dict) else {}  # then it lacks the first field
+    item = item if isinstance(item, dict) else {}  # a non-object fails the first slot
     values = []
     for key, kind, default in record.slots:
         if kind is str:

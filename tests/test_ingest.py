@@ -602,9 +602,8 @@ def test_string_section_is_one_schema_error():
 
 # Values substituted at every path of SMALL for the outcome pin below.
 PIN_VALUES = [None, True, 0, 1.5, "", "x", [], ["x"], [1], {}, {"id": "x"}, {"id": 1}]
-# The sha256 of pinned_outcomes(), taken before parsing checked each value's
-# exact class; a parser change that alters a model, a diagnostic or a merge
-# outcome for any of these documents changes it.
+# The sha256 of pinned_outcomes(): a parser change that alters a model, a
+# diagnostic or a merge outcome for any of these documents changes it.
 PINNED_OUTCOMES_SHA256 = "9bca1f98a5afca09b81357758ee474bf9974117378f34a2eac88bccd96dff167"
 
 
