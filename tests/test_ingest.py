@@ -249,6 +249,40 @@ def test_values_of_another_type_serialize_as_json_dumps_writes_them(children):
     assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
 
 
+# Every kind of dict key json.dumps takes, NaN and the infinities among the
+# floats, and tuples beside lists.
+META_KEYS = (JSON_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+             | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
+META_VALUES = st.recursive(
+    JSON_VALUES,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(META_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(META_VALUES)
+def test_meta_of_any_json_value_serializes_as_json_dumps_writes_it(value):
+    m = M.TaxonomyModel(metadata={"v": value})
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+
+
+def test_deep_meta_serializes_without_recursion_limit():
+    depth = 2000
+    value = "x"
+    for _ in range(depth):
+        value = [value]
+    m = M.TaxonomyModel(metadata={"v": value})
+    with pytest.raises(RecursionError):
+        stdlib_dumps(ingest.model_to_document(m))
+    lines = ingest.serialize_taxonomy_document(m).splitlines()
+    # meta's keys sit at level 2, and each list indents its item one more.
+    assert lines[3] == '    "v": ['
+    assert lines[3 + depth] == "  " * (2 + depth) + '"x"'
+    assert lines[4 + depth] == "  " * (1 + depth) + "]"
+
+
 def large_model():
     """About 1,500 categories, every list field both empty and not, and a
     150-deep chain of groups that branches at each level and ends in a
