@@ -410,7 +410,6 @@ def model_to_document(model: TaxonomyModel) -> dict:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_INF = float("inf")
 
 
 def _string_text(value: str) -> str:
@@ -422,88 +421,56 @@ def _string_text(value: str) -> str:
     return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
-def _scalar_text(value: Any) -> str:
-    """null, a boolean or a number as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _dumps(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False) with each line break
+    written as newline and no final newline, byte for byte but for lone
+    surrogates (see _string_text). Null, booleans and numbers, and keys
+    that are not strings, are written by json.dumps itself.
 
-
-def _dumps(value: Any) -> str:
-    """json.dumps(value, indent=2, ensure_ascii=False) + "\\n", byte for
-    byte, but for lone surrogates (see _string_text).
-
-    The walk keeps one (items, is_dict, depth, id) frame per open container
-    on an explicit stack, so nesting depth is not bounded by the recursion
-    limit. Each item is followed by the separator of its depth; closing a
-    container overwrites its last item's separator with the newline and
-    indent of the level above, and the root's with the final newline. The
-    newline-and-indent and separator strings of each depth, and the text of
-    each string key, are built once and shared."""
-    chunks: list[str] = []
-    append = chunks.append
-    newlines = ["\n"]
-    separators = [",\n"]
-    keys: dict[str, str] = {}
+    The walk keeps one (items, is_dict, id, newline of its items) frame per
+    open container on an explicit stack, so nesting depth is not bounded by
+    the recursion limit. Each item is followed by "," and its frame's
+    newline; closing a container overwrites its last item's separator with
+    the parent frame's newline, and the root's separator is dropped."""
+    out: list[str] = []
     open_ids: set[int] = set()
-    stack = [(iter((value,)), False, 0, 0)]
+    stack = [(iter((value,)), False, None, newline)]
     while stack:
-        items, is_dict, depth, ident = stack[-1]
-        separator = separators[depth]
+        items, is_dict, ident, inner = stack[-1]
+        separator = "," + inner
         for item in items:
             if is_dict:
                 key, item = item
-                text = keys.get(key)
-                if text is None:
-                    text = _string_text(key if isinstance(key, str) else _scalar_text(key)) + ": "
-                    if isinstance(key, str):
-                        keys[key] = text
-                append(text)
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError(f"keys must be str, int, float, bool or None, "
+                                        f"not {key.__class__.__name__}")
+                    key = json.dumps(key)
+                out += (_string_text(key), ": ")
             if isinstance(item, str):
-                append(encode_basestring(item) if item.isascii() else _string_text(item))
+                out.append(_string_text(item))
             elif not isinstance(item, (dict, list, tuple)):
-                append(_scalar_text(item))
+                out.append(json.dumps(item))
             elif not item:
-                append("{}" if isinstance(item, dict) else "[]")
+                out.append("{}" if isinstance(item, dict) else "[]")
             else:
                 if id(item) in open_ids:
                     raise ValueError("Circular reference detected")
                 open_ids.add(id(item))
-                if depth + 1 == len(newlines):
-                    newlines.append(newlines[-1] + "  ")
-                    separators.append("," + newlines[-1])
-                if isinstance(item, dict):
-                    append("{")
-                    stack.append((iter(item.items()), True, depth + 1, id(item)))
-                else:
-                    append("[")
-                    stack.append((iter(item), False, depth + 1, id(item)))
-                append(newlines[depth + 1])
+                nested = inner + "  "
+                is_object = isinstance(item, dict)
+                out += ("{" if is_object else "[", nested)
+                stack.append((iter(item.items() if is_object else item), is_object, id(item), nested))
                 break
-            append(separator)
+            out.append(separator)
         else:
             stack.pop()
+            open_ids.discard(ident)
             if stack:
-                open_ids.discard(ident)
-                chunks[-1] = newlines[depth - 1]
-                append("}" if is_dict else "]")
-                append(separators[depth - 1])
-    chunks[-1] = "\n"
-    return "".join(chunks)
+                outer = stack[-1][3]
+                out[-1] = outer
+                out += ("}" if is_dict else "]", "," + outer)
+    return "".join(out[:-1])
 
 
 # The newline-and-indent text of each level a record reaches (a subtrait's
@@ -513,34 +480,26 @@ _SEPARATORS = tuple("," + newline for newline in _NEWLINES)
 _QUOTED_SEPARATORS = tuple(f'"{separator}"' for separator in _SEPARATORS)
 
 
-def _reindented(value: Any, newline: str) -> str:
-    """_dumps(value) indented to the level of newline, without the final newline."""
-    return _dumps(value)[:-1].replace("\n", newline)
-
-
 # The writers below append pieces to one list: each item and then the
 # separator of its level, the last separator overwritten on closing, and
 # the newline and indent of each level shared, as in _dumps.
 
 def _put_strings(out: list, items: Any, level: int) -> None:
-    """The JSON list of items, its key at indent level `level`. Strings that
-    need no escape are quoted by one join; a list that holds another value
-    is written by _dumps."""
+    """The JSON list of items, its key at indent level `level`. ASCII
+    strings that need no escape are quoted by one join, other strings one
+    at a time; a list that holds another value is written by _dumps."""
     if not items:
         out.append("[]")
         return
     try:
         joined = "".join(items)
     except TypeError:
-        out.append(_reindented(list(items), _NEWLINES[level]))
+        out.append(_dumps(items, _NEWLINES[level]))
         return
-    separator = _SEPARATORS[level + 1]
-    if not joined.isascii():
-        text = separator.join(map(_string_text, items))
-    elif len(encode_basestring(joined)) == len(joined) + 2:
+    if joined.isascii() and len(encode_basestring(joined)) == len(joined) + 2:
         text = '"' + _QUOTED_SEPARATORS[level + 1].join(items) + '"'
     else:
-        text = separator.join(map(encode_basestring, items))
+        text = _SEPARATORS[level + 1].join(map(_string_text, items))
     out += ("[", _NEWLINES[level + 1], text, _NEWLINES[level], "]")
 
 
@@ -560,7 +519,7 @@ def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
             append(key_text)
             if value.__class__ is not cls:
                 append("null" if value is None and cls is str
-                       else _reindented(_dump_value(value, kind, cls), newline))
+                       else _dumps(_dump_value(value, kind, cls), newline))
             elif cls is str:
                 append(encode_basestring(value) if value.isascii() else _string_text(value))
             elif kind == "strings":
@@ -610,7 +569,7 @@ def _put_tree(out: list, model: TaxonomyModel) -> None:
                 append(encode_basestring(value) if value.isascii() else _string_text(value))
                 append(separator)
             elif value is not None:
-                out += (key_text, _reindented(value, newline), separator)
+                out += (key_text, _dumps(value, newline), separator)
         previous = depth
 
 
@@ -624,7 +583,7 @@ def serialize_taxonomy_document(model: TaxonomyModel) -> str:
     are written straight from their field tables, into one list of pieces
     that is joined once."""
     out = ["{", _NEWLINES[1], '"schema_version": ', encode_basestring(SCHEMA_VERSION),
-           _SEPARATORS[1], '"meta": ', _reindented(dict(model.metadata), _NEWLINES[1])]
+           _SEPARATORS[1], '"meta": ', _dumps(dict(model.metadata), _NEWLINES[1])]
     for key, record in _SECTIONS.items():
         out += (_SEPARATORS[1], f'"{key}": ')
         _put_records(out, getattr(model, key), record, 1)

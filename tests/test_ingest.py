@@ -169,7 +169,8 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_emitter_writes_the_bytes_of_json_dumps_on_any_json_value(value):
-    assert ingest._dumps(value) == stdlib_dumps(value)
+    assert ingest._dumps(value) + "\n" == stdlib_dumps(value)
+    assert ingest._dumps(value, "\n    ") == stdlib_dumps(value)[:-1].replace("\n", "\n    ")
 
 
 def test_emitter_rejects_what_json_dumps_rejects():
