@@ -369,7 +369,11 @@ def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
         if table.name in seen_names:
             yield "E_DUP_ID", path, f"duplicate table {table.name!r}"
         seen_names.add(table.name)
+        seen_columns, seen_rows = set(), set()
         for trait_id in table.trait_columns:
+            if trait_id in seen_columns:
+                yield "E_DUP_ID", f"{path}/columns/{trait_id}", f"duplicate column {trait_id!r}"
+            seen_columns.add(trait_id)
             if model.trait(trait_id) is None:
                 yield (
                     "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
@@ -377,6 +381,9 @@ def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
                 )
         for row in table.rows:
             row_path = f"{path}/rows/{row.category_id}"
+            if row.category_id in seen_rows:
+                yield "E_DUP_ID", row_path, f"duplicate row {row.category_id!r}"
+            seen_rows.add(row.category_id)
             if model.category(row.category_id) is None:
                 yield (
                     "E_UNKNOWN_CATEGORY", row_path,

@@ -113,6 +113,27 @@ def test_duplicate_ids_and_params_flagged():
     assert codes == ["E_DUP_ID", "E_DUP_PARAM"]
 
 
+def test_repeated_table_column_or_row_is_dup_id():
+    """A column or a row listed twice in one table would list its schemas
+    twice; each repeat is an E_DUP_ID at its path in the table."""
+    doc = {
+        "schema_version": "1",
+        "traits": [{"id": "t", "name": "T"}],
+        "categories": [{"id": "c", "name": "C", "group_path": ["Economic Policy"]}],
+        "tables": [
+            {"name": "cols", "trait_columns": ["t", "t"],
+             "rows": [{"category": "c", "marks": ["t"]}]},
+            {"name": "rows", "trait_columns": ["t"],
+             "rows": [{"category": "c", "marks": ["t"]}, {"category": "c", "marks": []}]},
+        ],
+    }
+    _, diags = ingest.parse_document_dict(doc)
+    assert [(d.code, d.path, d.message) for d in diags] == [
+        ("E_DUP_ID", "/tables/cols/columns/t", "duplicate column 't'"),
+        ("E_DUP_ID", "/tables/rows/rows/c", "duplicate row 'c'"),
+    ]
+
+
 def triples(diags):
     return [(d.code, d.path, d.message) for d in diags]
 
