@@ -180,6 +180,13 @@ def test_merge_writes_a_lone_surrogate_as_an_escape(cli, dataset_file, tmp_path,
     assert diags == [] and merged.categories[0].name == "\ud800"
 
 
+def test_merging_the_shipped_dataset_into_itself_writes_it_back(cli, dataset_file):
+    """The shipped dataset is in canonical form, byte for byte."""
+    result = cli(["merge", dataset_file, dataset_file])
+    assert result.code == 0
+    assert result.out == Path(dataset_file).read_bytes().decode("utf-8")
+
+
 def test_merge_conflict_exits_one(cli, dataset_file, tmp_path):
     ext = tmp_path / "conflict.json"
     ext.write_text(json.dumps({
@@ -193,6 +200,16 @@ def test_show_category(cli):
     result = cli(["show", "Carucage"])
     assert result.code == 0
     assert result.out.splitlines()[0] == "category carucage: Carucage"
+
+
+def test_show_category_with_cross_tags(cli):
+    result = cli(["show", "tariff"])
+    assert result.code == 0
+    assert result.out.splitlines()[:3] == [
+        "category tariff: Tariff",
+        "group path: Economic Policy > International Trade Policy > Financial Trade Policy",
+        "tags: international-trade",
+    ]
 
 
 def test_show_ambiguous_exits_one(cli):

@@ -137,6 +137,12 @@ def test_bad_filter_values(model):
             assert exc.value.code == "E_BAD_FILTER"
 
 
+def test_count_by_an_unknown_grouping_is_bad_filter(model):
+    with pytest.raises(PolicyError) as exc:
+        count_checkmarks(model, "bogus")
+    assert exc.value.code == "E_BAD_FILTER"
+
+
 def test_deterministic_order(model):
     first = enumerate_schemas(model)
     assert first == enumerate_schemas(model)
@@ -231,6 +237,19 @@ def test_lookup_unique_prefix(model):
 def test_lookup_group_node(model):
     found = lookup(model, "Auxiliary Policy")
     assert found.kind == "group"
+
+
+def test_lookup_node_by_exact_id(model):
+    assert lookup(model, "quantity-control") is model.node("quantity-control")
+
+
+def test_lookup_name_of_several_categories_is_ambiguous(model):
+    # The repurchase-agreement and repurchase-agreement-market categories
+    # share the name.
+    with pytest.raises(PolicyError) as exc:
+        lookup(model, "repurchase agreement")
+    assert exc.value.code == "E_AMBIGUOUS"
+    assert "names several elements" in str(exc.value)
 
 
 def test_lookup_miss(model):
