@@ -10,9 +10,10 @@ is; any other goes to _field. Parsing is total: a value of another kind
 is dropped with an E_SCHEMA at its JSON path (null counts as missing; the
 path is formatted only then), and a file that cannot be read, decoded or
 nested as deeply gives E_SYNTAX. Serialization writes each record's text
-straight from its field table; the generic emitter _dumps writes only meta
-and a value whose type is not the one its field declares. The tables alone
-say which traits a category can implement
+straight from its field table. The small generic emitter _dumps writes
+only meta and a value whose type is not the one its field declares, and
+leaves null, booleans and numbers to json.dumps. The tables alone say
+which traits a category can implement
 (TaxonomyModel.implementable_trait_ids); a category's inline
 implementable_trait_ids key is only checked against its table rows.
 
@@ -481,8 +482,9 @@ _QUOTED_SEPARATORS = tuple(f'"{separator}"' for separator in _SEPARATORS)
 
 
 # The writers below append pieces to one list: each item and then the
-# separator of its level, the last separator overwritten on closing, and
-# the newline and indent of each level shared, as in _dumps.
+# separator of its level, the last separator overwritten on closing, as in
+# _dumps, and the newline and indent of each level shared from _NEWLINES
+# and _SEPARATORS.
 
 def _put_strings(out: list, items: Any, level: int) -> None:
     """The JSON list of items, its key at indent level `level`. ASCII
