@@ -128,7 +128,7 @@ def test_repeated_table_column_or_row_is_dup_id():
         ],
     }
     _, diags = ingest.parse_document_dict(doc)
-    assert [(d.code, d.path, d.message) for d in diags] == [
+    assert triples(diags) == [
         ("E_DUP_ID", "/tables/cols/columns/t", "duplicate column 't'"),
         ("E_DUP_ID", "/tables/rows/rows/c", "duplicate row 'c'"),
     ]
