@@ -141,6 +141,43 @@ def test_dot_identifiers_are_never_keywords_or_numerals():
             assert identifier.lower() not in DOT_KEYWORDS, identifier
 
 
+# The underscore search that _slugs replaced, kept as its oracle: it costs
+# about k**3 character work for k nodes that share one label.
+def reference_slugs(labels):
+    used, out = set(), []
+    for label in labels:
+        slug = slugify(label)
+        if slug in DOT_KEYWORDS or slug[0].isdigit():
+            slug = "_" + slug
+        while slug in used:
+            slug += "_"
+        used.add(slug)
+        out.append(slug)
+    return out
+
+
+SLUG_LABELS = [
+    "Other", "Other_", "other", "node", "_node", "Node_", "1x", "_1x", "", "!!", "Di-graph",
+]
+
+
+def test_dot_slugs_match_the_underscore_search():
+    rng = random.Random(7)
+    labels = ["Other"] * 300 + SLUG_LABELS * 3
+    rng.shuffle(labels)
+    nodes = [TaxonomyNode("root", "Economic Policy", "group", tuple(map(str, range(len(labels)))))]
+    nodes += [TaxonomyNode(str(i), label, "group") for i, label in enumerate(labels)]
+    text = export_tree_dot(TaxonomyModel(nodes=nodes, root_id="root")).text
+    declared = [line.split()[0] for line in text.splitlines() if "[label=" in line]
+    assert declared == reference_slugs(["Economic Policy", *labels])
+    for _ in range(200):
+        labels = rng.choices(SLUG_LABELS, k=rng.randrange(1, 40))
+        mst = kruskal_mst(DistanceMatrix(tuple(labels), np.ones((len(labels),) * 2)))
+        declared = [line.split()[0] for line in export_mst_dot(mst).text.splitlines()
+                    if "[label=" in line and " -- " not in line]
+        assert declared == reference_slugs(labels)
+
+
 def test_collapse_mode_mst_dot_has_null_policy_node(model):
     tm = build_trait_matrix(model, "collapse")
     mst = kruskal_mst(euclidean_distance(tm))
