@@ -73,8 +73,9 @@ def _checkmarks(
                 continue
             if prefix is not None and category.group_path[: len(prefix)] != prefix:
                 continue
+            marks = set(row.marks)
             for trait_id in table.trait_columns:
-                if trait_id not in row.marks:
+                if trait_id not in marks:
                     continue
                 if flt.trait_id is not None and trait_id != flt.trait_id:
                     continue

@@ -41,18 +41,20 @@ def _quote(text: str) -> str:
 
 
 def _slugs(labels: Iterable[str]) -> list[str]:
-    """One DOT identifier per label, made unique by appending underscores;
-    a keyword or a slug that starts with a digit gets a leading underscore."""
-    used: set[str] = set()
+    """One DOT identifier per label, made unique by appending underscores:
+    the k-th repeat of a slug gets k of them. A keyword or a slug that
+    starts with a digit gets a leading underscore. Since slugify strips
+    underscores from both ends, no slug ends in one, so the repeats of two
+    different slugs never meet."""
+    repeats: dict[str, int] = {}
     out = []
     for label in labels:
         slug = slugify(label)
         if slug in ("node", "edge", "graph", "digraph", "subgraph", "strict") or slug[0].isdigit():
             slug = "_" + slug
-        while slug in used:
-            slug += "_"
-        used.add(slug)
-        out.append(slug)
+        k = repeats.get(slug, 0)
+        repeats[slug] = k + 1
+        out.append(slug + "_" * k)
     return out
 
 
@@ -244,11 +246,10 @@ def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifa
     for row in table.rows:
         category = model.category(row.category_id)
         name = category.name if category else row.category_id
-        marks = [
-            "x" if t in row.marks else "" for t in table.trait_columns
-        ]
+        marks = set(row.marks)
+        cells = ["x" if t in marks else "" for t in table.trait_columns]
         tags = ", ".join(sorted(category.cross_tags)) if category else ""
-        lines.append("| " + " | ".join([_md_cell(name)] + marks + [_md_cell(tags)]) + " |")
+        lines.append("| " + " | ".join([_md_cell(name)] + cells + [_md_cell(tags)]) + " |")
     return ExportArtifact("\n".join(lines) + "\n")
 
 

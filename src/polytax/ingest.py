@@ -620,9 +620,8 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             tables.append(table)
             continue
         current = tables[by_name[table.name]]
-        columns = list(current.trait_columns) + [
-            c for c in table.trait_columns if c not in current.trait_columns
-        ]
+        have = set(current.trait_columns)
+        columns = [*current.trait_columns, *(c for c in table.trait_columns if c not in have)]
         rows = [
             TableRow(r.category_id, tuple(dict.fromkeys(r.marks)))
             for r in current.rows

@@ -390,7 +390,7 @@ def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
                     f"row references unknown category {row.category_id!r}",
                 )
             for mark in row.marks:
-                if mark not in table.trait_columns:
+                if mark not in seen_columns:
                     yield (
                         "E_BAD_MARK", row_path,
                         f"mark {mark!r} is not a column of table {table.name!r}",

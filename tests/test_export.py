@@ -22,6 +22,7 @@ from polytax.analytics import (
 from polytax.enumeration import enumerate_schemas, iter_tree
 from polytax.export import (
     _BLOCK_ROWS,
+    _slugs,
     export_matrix_csv,
     export_mst_dot,
     export_pruned_csv,
@@ -176,6 +177,9 @@ def test_dot_slugs_match_the_underscore_search():
         declared = [line.split()[0] for line in export_mst_dot(mst).text.splitlines()
                     if "[label=" in line and " -- " not in line]
         assert declared == reference_slugs(labels)
+    # The search's names for one label repeated are its slug with 0, 1, 2, ...
+    # underscores; it would take about a minute to hand out these 8,000.
+    assert _slugs(["Other"] * 8000) == ["other" + "_" * k for k in range(8000)]
 
 
 def test_collapse_mode_mst_dot_has_null_policy_node(model):
