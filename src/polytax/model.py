@@ -4,8 +4,8 @@ The model is a set of trait definitions, policy categories, transaction
 channels, checkmark tables and a taxonomy tree. The tables alone say which
 traits a category implements; TaxonomyModel.implementable_trait_ids reads
 their marks, through a view built on first use. The value types are
-immutable named tuples; TaxonomyModel, the one dataclass, indexes them and
-is treated as immutable. Validation never raises, it returns diagnostics. A
+immutable named tuples; TaxonomyModel indexes them, is treated as
+immutable, and copies as they do, with _replace. Validation never raises, it returns diagnostics. A
 Diagnostic is a code, a JSON path and a message; every diagnostic is an
 error, and lists of them are sorted by those three fields.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -168,29 +167,44 @@ class AtomicPolicy(NamedTuple):
     bindings: Mapping[str, Any]
 
 
-@dataclass
 class TaxonomyModel:
-    """The whole dataset. Treat as immutable once constructed."""
+    """The whole dataset. Treat as immutable once constructed, and copy it
+    as the records are copied, with _replace. Models are equal when their
+    fields are, so they are unhashable."""
 
-    traits: tuple[TraitDef, ...] = ()
-    categories: tuple[PolicyCategory, ...] = ()
-    nodes: tuple[TaxonomyNode, ...] = ()
-    root_id: Optional[str] = None
-    channels: tuple[TransactionChannel, ...] = ()
-    tables: tuple[CheckTable, ...] = ()
-    metadata: dict = field(default_factory=dict)
+    _fields = ("traits", "categories", "nodes", "root_id", "channels", "tables", "metadata")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        self.traits = tuple(self.traits)
-        self.categories = tuple(self.categories)
-        self.nodes = tuple(self.nodes)
-        self.channels = tuple(self.channels)
-        self.tables = tuple(self.tables)
+    def __init__(self, traits: Iterable[TraitDef] = (), categories: Iterable[PolicyCategory] = (),
+                 nodes: Iterable[TaxonomyNode] = (), root_id: Optional[str] = None,
+                 channels: Iterable[TransactionChannel] = (), tables: Iterable[CheckTable] = (),
+                 metadata: Optional[dict] = None):
+        self.traits = tuple(traits)
+        self.categories = tuple(categories)
+        self.nodes = tuple(nodes)
+        self.root_id = root_id
+        self.channels = tuple(channels)
+        self.tables = tuple(tables)
+        self.metadata = {} if metadata is None else metadata
         self._trait_by_id = {t.id: t for t in self.traits}
         self._category_by_id = {c.id: c for c in self.categories}
         self._node_by_id = {n.id: n for n in self.nodes}
         self._channel_by_id = {ch.id: ch for ch in self.channels}
         self._table_by_name = {t.name: t for t in self.tables}
+
+    def _replace(self, **changes: Any) -> TaxonomyModel:
+        """A new model with the given fields changed and its indexes rebuilt."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return self.__class__(**{**fields, **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
     # -- lookups ---------------------------------------------------------
 

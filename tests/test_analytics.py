@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -567,7 +566,7 @@ def test_mst_edges_equal_reference_kruskal_on_bundled_dataset(model, null_mode):
         ))
         for t in model.tables
     )
-    renamed = dataclasses.replace(model, categories=categories, tables=tables)
+    renamed = model._replace(categories=categories, tables=tables)
     tm = build_trait_matrix(renamed, null_mode)
     assert tm.row_labels.count(NULL_POLICY_LABEL) == (2 if null_mode == "collapse" else 1)
     dist = euclidean_distance(tm)

@@ -417,10 +417,11 @@ import json, sys
 import polytax
 assert "numpy" not in sys.modules, "import polytax"
 from polytax.cli import run_cli
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "import polytax.cli"
 for argv in json.loads(sys.argv[1]):
     assert run_cli(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-    assert "click" not in sys.modules, argv
+    for module in ("numpy", "click", "dataclasses", "inspect"):
+        assert module not in sys.modules, (argv, module)
 assert run_cli(["mst"]) == 0
 assert "numpy" in sys.modules, "mst"
 assert "click" not in sys.modules, "mst"

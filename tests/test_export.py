@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import random
@@ -404,8 +403,7 @@ def test_carriage_return_labels_are_quoted_and_round_trip():
 def test_markdown_table_escapes_pipes_in_cells(model):
     table = model.table("other-expenses")
     cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
-    piped = dataclasses.replace(
-        model,
+    piped = model._replace(
         categories=[
             c._replace(name="Tax | levy", cross_tags=c.cross_tags | {"a|b"})
             if c.id == cat_id else c
@@ -425,8 +423,7 @@ def test_markdown_table_escapes_pipes_in_cells(model):
 def test_markdown_table_writes_line_breaks_in_cells_as_br(model):
     table = model.table("other-expenses")
     cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
-    broken = dataclasses.replace(
-        model,
+    broken = model._replace(
         categories=[
             c._replace(name="Tax\nlevy", cross_tags=c.cross_tags | {"a\r\nb", "c\rd"})
             if c.id == cat_id else c

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -185,7 +184,7 @@ def test_emitter_rejects_what_json_dumps_rejects():
 
 def test_lone_surrogates_serialize_as_escapes(model):
     category = model.categories[0]._replace(name="a\ud800b\udc80")
-    odd = dataclasses.replace(model, categories=(category,) + model.categories[1:])
+    odd = model._replace(categories=(category,) + model.categories[1:])
     text = ingest.serialize_taxonomy_document(odd)
     assert '"name": "a\\ud800b\\udc80"' in text
     again, diags = ingest.parse_taxonomy_document(text.encode("utf-8"))
@@ -760,7 +759,7 @@ def test_deep_tree_serializes_without_recursion_limit():
     depth = 2000
     chain = tuple(M.TaxonomyNode(f"g{i}", f"g{i}", "group", (f"g{i + 1}",) if i + 1 < depth else ())
                   for i in range(depth))
-    deep = dataclasses.replace(M.TaxonomyModel(), nodes=chain, root_id="g0")
+    deep = M.TaxonomyModel()._replace(nodes=chain, root_id="g0")
     with pytest.raises(RecursionError):
         stdlib_dumps(ingest.model_to_document(deep))
     lines = ingest.serialize_taxonomy_document(deep).splitlines()
@@ -812,7 +811,7 @@ def test_field_tables_name_every_model_field():
         attrs = [attr for _, _, _, attr in record.fields] + sorted(PARSE_ONLY.get(record.cls, ()))
         assert sorted(attrs) == sorted(record.cls._fields)
     top_level = {"nodes", "root_id", "metadata", *ingest._SECTIONS}
-    assert top_level == {f.name for f in dataclasses.fields(M.TaxonomyModel)}
+    assert top_level == set(M.TaxonomyModel._fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-import dataclasses
+import inspect
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_implementable_trait_ids_is_the_union_of_table_marks():
         assert found == frozenset() and isinstance(found, frozenset)
     # The view is built on the first read; a replaced model builds its own.
     assert "_marks_by_category" in vars(model)
-    rebuilt = dataclasses.replace(model, tables=model.tables[1:])
+    rebuilt = model._replace(tables=model.tables[1:])
     assert "_marks_by_category" not in vars(rebuilt)
     assert rebuilt.implementable_trait_ids("c") == frozenset({"u"})
     assert model.implementable_trait_ids("c") == frozenset({"t", "u"})
@@ -631,3 +632,30 @@ def test_value_records_are_immutable_values(cls, fields):
         shuffled = [cls("b", "a", "a"), cls("a", "b", "a"), cls("a", "a", "b"), cls("a", "a", "a")]
         in_order = sorted(shuffled, key=lambda d: (d.code, d.path, d.message))
         assert sorted(shuffled) == in_order == [shuffled[3], shuffled[2], shuffled[1], shuffled[0]]
+
+
+def test_model_copies_with_replace_and_compares_field_wise():
+    model = TaxonomyModel([TraitDef("t", "T")], [PolicyCategory("c", "C")], metadata={"v": 1})
+    values = tuple(getattr(model, name) for name in TaxonomyModel._fields)
+    assert list(inspect.signature(TaxonomyModel).parameters) == list(TaxonomyModel._fields)
+    assert TaxonomyModel(*values) == model
+    assert repr(TaxonomyModel()) == (
+        "TaxonomyModel(traits=(), categories=(), nodes=(), root_id=None, channels=(), "
+        "tables=(), metadata={})"
+    )
+    # _replace builds a new model with its own indexes and leaves the original as it was.
+    copy = model._replace(traits=[TraitDef("u", "U")])
+    assert copy.traits == (TraitDef("u", "U"),) and copy.trait("u") == TraitDef("u", "U")
+    assert copy.trait("t") is None and copy.category("c") == PolicyCategory("c", "C")
+    assert model.traits == (TraitDef("t", "T"),) and model.trait("u") is None
+    assert model._replace() == model and model._replace() is not model
+    with pytest.raises(TypeError):
+        model._replace(trait=())
+    with pytest.raises(TypeError):
+        hash(model)
+
+    class Subclass(TaxonomyModel):
+        pass
+
+    for other in (values, list(values), Subclass(*values), SimpleNamespace(**vars(model))):
+        assert model != other and other != model
