@@ -390,26 +390,6 @@ def _dump_record(obj: Any, record: _Record) -> dict:
             for (key, _, kind, cls), value in zip(record.plan, record.values(obj))}
 
 
-def model_to_document(model: TaxonomyModel) -> dict:
-    """Canonical document form: stable key order, document list order. Each
-    node iter_tree visits is dumped once, as a child of the last one a level
-    up; a node's fields that are None and its empty children are left out.
-    serialize_taxonomy_document writes the bytes of its json.dumps."""
-    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "meta": dict(model.metadata)}
-    for key, record in _SECTIONS.items():
-        doc[key] = [_dump_record(item, record) for item in getattr(model, key)]
-    if model.tree is not None:
-        levels: list[dict] = []
-        for node, depth in iter_tree(model):
-            out = {k: v for k, v in _dump_record(node, _NODE).items() if v is not None}
-            if depth:
-                levels[depth - 1].setdefault("children", []).append(out)
-            del levels[depth:]
-            levels.append(out)
-        doc["tree"] = levels[0]
-    return doc
-
-
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -577,13 +557,16 @@ def _put_tree(out: list, model: TaxonomyModel) -> None:
 
 @_collection_paused()
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
-    """Deterministic text such that parse(serialize(m)) == m: the bytes of
-    json.dumps(model_to_document(m), indent=2, ensure_ascii=False) and a
-    newline, except that a lone surrogate is written as a \\uXXXX escape,
-    so the text always encodes to UTF-8. Serializing has no depth limit;
-    decoding the text still gives E_SYNTAX near 500 tree levels. Records
-    are written straight from their field tables, into one list of pieces
-    that is joined once."""
+    """Deterministic text such that parse(serialize(m)) == m, in the
+    canonical document form: keys in field-table order, lists in document
+    order, and each node that iter_tree visits written once, as a child of
+    the last node a level up, without its None fields or empty children.
+    The bytes are those of json.dumps(document, indent=2,
+    ensure_ascii=False) and a newline, except that a lone surrogate is
+    written as a \\uXXXX escape, so the text always encodes to UTF-8.
+    Serializing has no depth limit; decoding the text still gives E_SYNTAX
+    near 500 tree levels. Records are written straight from their field
+    tables, into one list of pieces that is joined once."""
     out = ["{", _NEWLINES[1], '"schema_version": ', encode_basestring(SCHEMA_VERSION),
            _SEPARATORS[1], '"meta": ', _dumps(dict(model.metadata), _NEWLINES[1])]
     for key, record in _SECTIONS.items():
@@ -703,7 +686,6 @@ __all__ = [
     "read_document",
     "parse_taxonomy_document",
     "parse_document_dict",
-    "model_to_document",
     "serialize_taxonomy_document",
     "merge_extension",
     "load_bundled_dataset",

@@ -81,14 +81,14 @@ def test_malformed_json_is_syntax_error():
 
 
 def test_dangling_table_category_reported(model):
-    doc = ingest.model_to_document(model)
+    doc = model_to_document(model)
     doc["tables"][0]["rows"].append({"category": "windows-tax", "marks": []})
     _, diags = ingest.parse_document_dict(doc)
     assert any(d.code == "E_UNKNOWN_CATEGORY" for d in diags)
 
 
 def test_inline_trait_set_conflicting_with_tables_is_error(model):
-    doc = ingest.model_to_document(model)
+    doc = model_to_document(model)
     doc["categories"][0]["implementable_trait_ids"] = ["allowance"]
     _, diags = ingest.parse_document_dict(doc)
     assert any(d.code == "E_TABLE_MISMATCH" for d in diags)
@@ -101,7 +101,7 @@ def test_marks_are_gathered_only_for_an_inline_trait_key(model, monkeypatch):
     monkeypatch.setattr(
         ingest, "table_marks", lambda tables: calls.append(1) or M.table_marks(tables)
     )
-    doc = ingest.model_to_document(model)
+    doc = model_to_document(model)
     parsed, diags = ingest.parse_document_dict(doc)
     merged = ingest.merge_extension(parsed, payment_rail_extension())
     assert diags == [] and calls == []
@@ -142,6 +142,27 @@ def test_roundtrip_identity_property(m):
     assert again == m
 
 
+def model_to_document(model):
+    """The canonical document as a dict: stable key order, document list
+    order. Each node iter_tree visits is dumped once, as a child of the last
+    one a level up; a node's fields that are None and its empty children
+    are left out. With stdlib_dumps, the serializer's byte oracle."""
+    doc = {"schema_version": ingest.SCHEMA_VERSION, "meta": dict(model.metadata)}
+    for key, record in ingest._SECTIONS.items():
+        doc[key] = [ingest._dump_record(item, record) for item in getattr(model, key)]
+    if model.tree is not None:
+        levels = []
+        for node, depth in iter_tree(model):
+            out = {k: v for k, v in ingest._dump_record(node, ingest._NODE).items()
+                   if v is not None}
+            if depth:
+                levels[depth - 1].setdefault("children", []).append(out)
+            del levels[depth:]
+            levels.append(out)
+        doc["tree"] = levels[0]
+    return doc
+
+
 def stdlib_dumps(value):
     """The serializer's byte oracle."""
     return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
@@ -150,7 +171,7 @@ def stdlib_dumps(value):
 @settings(max_examples=100, deadline=None)
 @given(taxonomy_models())
 def test_serializer_writes_the_bytes_of_json_dumps(m):
-    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
 
 
 # Text without surrogates: json.dumps leaves a lone one unescaped, and the
@@ -220,7 +241,7 @@ ODD_TEXTS = ["é", "€", "\u2028", "\x01", '"', "\\", 'é€\u2028\x01"\\']
 def test_serializer_writes_the_bytes_of_json_dumps_on_odd_text(odd):
     m = text_model(odd)
     text = ingest.serialize_taxonomy_document(m)
-    assert text == stdlib_dumps(ingest.model_to_document(m))
+    assert text == stdlib_dumps(model_to_document(m))
     assert ingest.parse_taxonomy_document(text.encode("utf-8"))[0] == m
 
 
@@ -246,7 +267,7 @@ def test_values_of_another_type_serialize_as_json_dumps_writes_them(children):
         root_id="r",
         metadata={"pair": (1, 2.5), "none": None, "flag": True},
     )
-    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
 
 
 # Every kind of dict key json.dumps takes, NaN and the infinities among the
@@ -265,7 +286,7 @@ META_VALUES = st.recursive(
 @given(META_VALUES)
 def test_meta_of_any_json_value_serializes_as_json_dumps_writes_it(value):
     m = M.TaxonomyModel(metadata={"v": value})
-    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
 
 
 def test_deep_meta_serializes_without_recursion_limit():
@@ -275,7 +296,7 @@ def test_deep_meta_serializes_without_recursion_limit():
         value = [value]
     m = M.TaxonomyModel(metadata={"v": value})
     with pytest.raises(RecursionError):
-        stdlib_dumps(ingest.model_to_document(m))
+        stdlib_dumps(model_to_document(m))
     lines = ingest.serialize_taxonomy_document(m).splitlines()
     # meta's keys sit at level 2, and each list indents its item one more.
     assert lines[3] == '    "v": ['
@@ -324,7 +345,7 @@ def large_model():
 
 def test_serializer_writes_the_bytes_of_json_dumps_on_a_large_model():
     m = large_model()
-    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(ingest.model_to_document(m))
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +390,7 @@ def test_merge_identical_category_with_new_mark_is_not_a_conflict(model):
     # The category compares on its own content; its new trait comes from the
     # merged table row alone.
     extension = payment_rail_extension()
-    category = next(c for c in ingest.model_to_document(model)["categories"]
+    category = next(c for c in model_to_document(model)["categories"]
                     if c["id"] == "personal-income-tax")
     extension["categories"] = [category]
     merged = ingest.merge_extension(model, extension)
@@ -396,14 +417,14 @@ def test_merge_conflicting_redefinition_rejected(model):
 
 @pytest.mark.parametrize("section", ["traits", "channels", "categories", "tables"])
 def test_merge_identical_redefinition_is_noop(model, section):
-    doc = ingest.model_to_document(model)
+    doc = model_to_document(model)
     extension = {section: [doc[section][0]]}
     merged = ingest.merge_extension(model, extension)
     assert merged == model
 
 
 def test_merge_conflict_path_names_the_section(model):
-    category = dict(ingest.model_to_document(model)["categories"][0], name="Renamed")
+    category = dict(model_to_document(model)["categories"][0], name="Renamed")
     with pytest.raises(ingest.IngestError) as exc:
         ingest.merge_extension(model, {"categories": [category]})
     assert [d.path for d in exc.value.diagnostics] == [f"/categories/{category['id']}"]
@@ -427,7 +448,7 @@ def test_merge_diagnostics_are_sorted(model):
         "/categories/0/name", "/tables/0", "/traits/0/description", "/traits/0/parameters",
     ]
     # Conflicts in two sections, which the merge compares traits first.
-    doc = ingest.model_to_document(model)
+    doc = model_to_document(model)
     conflicting = {
         "traits": [dict(doc["traits"][0], name="Renamed")],
         "categories": [dict(doc["categories"][0], name="Renamed")],
@@ -448,10 +469,10 @@ def test_merge_rejects_an_unknown_top_level_key(model):
         ingest.merge_extension(model, {"categores": [], **payment_rail_extension()})
     assert [(d.code, d.path) for d in exc.value.diagnostics] == [("E_SCHEMA", "/categores")]
     assert exc.value.diagnostics == ingest.parse_document_dict(
-        {**ingest.model_to_document(model), "categores": []}
+        {**model_to_document(model), "categores": []}
     )[1]
     # A whole document merges: its schema_version, meta and tree are ignored.
-    assert ingest.merge_extension(model, ingest.model_to_document(model)) == model
+    assert ingest.merge_extension(model, model_to_document(model)) == model
 
 
 def models_equivalent(a, b):
@@ -761,7 +782,7 @@ def test_deep_tree_serializes_without_recursion_limit():
                   for i in range(depth))
     deep = M.TaxonomyModel()._replace(nodes=chain, root_id="g0")
     with pytest.raises(RecursionError):
-        stdlib_dumps(ingest.model_to_document(deep))
+        stdlib_dumps(model_to_document(deep))
     lines = ingest.serialize_taxonomy_document(deep).splitlines()
     id_lines = [line for line in lines if line.lstrip().startswith('"id": ')]
     assert len(id_lines) == depth
@@ -785,12 +806,12 @@ def test_invalid_tree_serializes_resolvable_children_once():
                M.TaxonomyNode("x", "X", "group")),
         root_id="r",
     )
-    tree = ingest.model_to_document(model)["tree"]
+    tree = model_to_document(model)["tree"]
     assert tree == {"id": "r", "label": "R", "kind": "group",
                     "children": [{"id": "x", "label": "X", "kind": "group"}]}
     text = ingest.serialize_taxonomy_document(model)
     assert json.loads(text)["tree"] == tree
-    assert text == stdlib_dumps(ingest.model_to_document(model))
+    assert text == stdlib_dumps(model_to_document(model))
 
 
 # Model attributes that parsing fills but no field table dumps: a node's
