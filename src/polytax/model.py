@@ -5,9 +5,9 @@ channels, checkmark tables and a taxonomy tree. The tables alone say which
 traits a category implements; TaxonomyModel.implementable_trait_ids reads
 their marks, through a view built on first use. The value types are
 immutable named tuples; TaxonomyModel indexes them, is treated as
-immutable, and copies as they do, with _replace. Validation never raises, it returns diagnostics. A
-Diagnostic is a code, a JSON path and a message; every diagnostic is an
-error, and lists of them are sorted by those three fields.
+immutable and copies as they do, with _replace. Validation never raises;
+it returns diagnostics. A Diagnostic is a code, a JSON path and a message;
+every diagnostic is an error, and lists of them sort by those three fields.
 """
 from __future__ import annotations
 
@@ -168,9 +168,8 @@ class AtomicPolicy(NamedTuple):
 
 
 class TaxonomyModel:
-    """The whole dataset. Treat as immutable once constructed, and copy it
-    as the records are copied, with _replace. Models are equal when their
-    fields are, so they are unhashable."""
+    """The whole dataset. Treat as immutable once constructed; copy it with
+    _replace. Models are equal when their fields are, and do not hash."""
 
     _fields = ("traits", "categories", "nodes", "root_id", "channels", "tables", "metadata")
     __hash__ = None  # type: ignore[assignment]
