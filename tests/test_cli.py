@@ -620,3 +620,32 @@ def test_every_public_name_has_a_caller_or_a_readme_entry():
         if name not in referenced and not re.search(rf"\b{name}\b", readme):
             orphans.append(f"{module.__name__}.{name}")
     assert orphans == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a module under src/polytax imports is read in it or listed
+    in its __all__. The package's __init__ is left out: its imports are
+    the package's re-exports."""
+    unused = []
+    for path in sorted((ROOT / "src" / "polytax").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(
+            node.value
+            for assign in ast.walk(tree)
+            if isinstance(assign, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in assign.targets)
+            for node in ast.walk(assign.value)
+            if isinstance(node, ast.Constant)
+        )
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -256,18 +256,33 @@ def test_lone_surrogates_in_every_field_kind_encode_and_parse_back():
 def test_values_of_another_type_serialize_as_json_dumps_writes_them(children):
     """A model built in code may hold values no document gives: an int id, a
     tuple where a frozenset belongs, a list of records, a None label, a node
-    with no fields at all, and a tuple inside meta."""
+    with no fields at all, and a tuple inside meta; a set, a str or ints in
+    a list-of-strings field, and records nested in lists."""
     param = M.ParameterSpec("p", 2)
+    subtrait = M.SubtraitDef("s", "S", [M.ParameterSpec("q", 3)])
     m = M.TaxonomyModel(
-        traits=(M.TraitDef(7, "Seven", [param]), M.TraitDef("t", "T", (param,), (), None)),
-        categories=(M.PolicyCategory("c", "C", group_path=("G", 3), cross_tags=("b", "a")),),
-        tables=(M.CheckTable("m", "M", ["t"], (M.TableRow("c", ("t", 1.5)),)),),
+        traits=(M.TraitDef(7, "Seven", [param]), M.TraitDef("t", "T", (param,), (), None),
+                M.TraitDef("u", "U", (), [subtrait])),
+        categories=(M.PolicyCategory("c", "C", group_path=("G", 3), cross_tags=("b", "a")),
+                    M.PolicyCategory("d", "D", group_path="GP", cross_tags=[2, 1])),
+        tables=(M.CheckTable("m", "M", ["t"], (M.TableRow("c", ("t", 1.5)),)),
+                M.CheckTable("n", "N", {"t"}, [M.TableRow("d", ["t"])])),
         nodes=(M.TaxonomyNode("r", None, "group", ("x", None)), M.TaxonomyNode("x", "X", 5),
                M.TaxonomyNode(None, None, None, children), M.TaxonomyNode("y", "Y", "group")),
         root_id="r",
         metadata={"pair": (1, 2.5), "none": None, "flag": True},
     )
     assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
+
+
+@pytest.mark.parametrize("m", [
+    M.TaxonomyModel(categories=(M.PolicyCategory("c", "C", group_path=None),)),
+    M.TaxonomyModel(categories=(M.PolicyCategory("c", "C", cross_tags=None),)),
+    M.TaxonomyModel(traits=(M.TraitDef("t", "T", None),)),
+], ids=["group_path", "cross_tags", "parameters"])
+def test_none_in_a_list_field_does_not_serialize(m):
+    with pytest.raises(TypeError):
+        ingest.serialize_taxonomy_document(m)
 
 
 # Every kind of dict key json.dumps takes, NaN and the infinities among the
