@@ -18,7 +18,6 @@ from .model import (
     TaxonomyNode,
     TraitDef,
     TransactionChannel,
-    build_tree,
     instantiate_atomic_policy,
     validate_model,
 )

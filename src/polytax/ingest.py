@@ -11,11 +11,13 @@ is dropped with an E_SCHEMA at its JSON path (null counts as missing; the
 path is formatted only then), and a file that cannot be read, decoded or
 nested as deeply gives E_SYNTAX. Serialization writes each record's text
 straight from its field table. The small generic emitter _dumps writes
-only meta and a value whose type is not the one its field declares, and
-leaves null, booleans and numbers to json.dumps. The tables alone say
-which traits a category can implement
-(TaxonomyModel.implementable_trait_ids); a category's inline
-implementable_trait_ids key is only checked against its table rows.
+only meta and off-type scalars, such as an int id or an int in a list of
+strings, and leaves null, booleans and numbers to json.dumps; a list field
+given another iterable, such as a set, goes as a list through the writer
+that its field's kind already uses. The tables alone say which traits a
+category can implement (TaxonomyModel.implementable_trait_ids); a
+category's inline implementable_trait_ids key is only checked against its
+table rows.
 
 parse_taxonomy_document, parse_document_dict, load_model_from_path,
 merge_extension and serialize_taxonomy_document pause the cyclic garbage
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, Optional
@@ -99,10 +101,6 @@ class IngestError(Exception):
 _KINDS = {"string": str, "list": list, "object": dict, "strings": list}
 
 
-def _schema_error(message: str, path: str) -> Diagnostic:
-    return Diagnostic("E_SCHEMA", path, message)
-
-
 def _path(loc) -> str:
     """The JSON path of a location: () is the document, (parent, key, index)
     is parent[key][index], or parent[key] if index is None; see _parse_tree."""
@@ -119,23 +117,16 @@ def _field(obj: dict, key: str, kind: str, loc, diags, default=None) -> Any:
     value = obj.get(key)
     if value is None:
         return default
-    if isinstance(value, _KINDS[kind]) and (
-        kind != "strings" or all(map(isinstance, value, repeat(str)))
-    ):
-        return value
-    diags.append(_schema_error(f"{key} is not of kind {kind!r}", _path((loc, key, None))))
-    return default
-
-
-def _items(obj: dict, key: str, loc, diags, kind: str = "list") -> Any:
-    """obj[key] if it is a list (of strings, for kind "strings"), else see _field."""
-    value = obj.get(key)
     try:  # join raises TypeError on an item that is not a string
-        if value.__class__ is list and (kind == "list" or isinstance("".join(value), str)):
+        if isinstance(value, _KINDS[kind]) and (
+            kind != "strings" or isinstance("".join(value), str)
+        ):
             return value
     except TypeError:
         pass
-    return _field(obj, key, kind, loc, diags, ())
+    message = f"{key} is not of kind {kind!r}"
+    diags.append(Diagnostic("E_SCHEMA", _path((loc, key, None)), message))
+    return default
 
 
 _REQUIRED = object()  # a string the record cannot lack; items without it are skipped
@@ -203,7 +194,7 @@ _TOP_LEVEL_KEYS = frozenset({"schema_version", "meta", "tree", *_SECTIONS})
 
 def _unknown_keys(doc: dict) -> list[Diagnostic]:
     return [
-        _schema_error(f"unknown top-level key {key!r}", f"/{key}")
+        Diagnostic("E_SCHEMA", f"/{key}", f"unknown top-level key {key!r}")
         for key in sorted(set(doc) - _TOP_LEVEL_KEYS)
     ]
 
@@ -223,14 +214,14 @@ def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) 
                 default = values[0] if default is _FIRST else default
                 value = _field(item, key, "string", loc, diags, default)
             elif not isinstance(value, str):
-                diags.append(_schema_error(record.malformed, _path(loc)))
+                diags.append(Diagnostic("E_SCHEMA", _path(loc), record.malformed))
                 return None
         elif kind is None:
             value = children
         elif kind.__class__ is _Record:
             value = _parse_list(item, key, loc, kind, diags)
         else:
-            value = kind(_items(item, key, loc, diags, "strings"))
+            value = kind(_field(item, key, "strings", loc, diags, ()))
         values.append(value)
     return tuple.__new__(record.cls, values)
 
@@ -238,7 +229,7 @@ def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) 
 def _parse_list(obj: dict, key: str, loc, record: _Record, diags) -> tuple:
     """The records in the list obj[key], obj at location loc; see _parse_record."""
     out = []
-    for i, item in enumerate(_items(obj, key, loc, diags)):
+    for i, item in enumerate(_field(obj, key, "list", loc, diags, ())):
         value = _parse_record(item, (loc, key, i), record, diags)
         if value is not None:
             out.append(value)
@@ -251,7 +242,7 @@ def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
     rows' marks are gathered only once a category has that key."""
     marks = None
     out = []
-    for i, item in enumerate(_items(doc, "categories", (), diags)):
+    for i, item in enumerate(_field(doc, "categories", "list", (), diags, ())):
         loc = ((), "categories", i)
         if (category := _parse_record(item, loc, _CATEGORY, diags)) is None:
             continue
@@ -274,20 +265,20 @@ def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
     if root is None:
         return (), None
     if not isinstance(root.get("id"), str):
-        diags.append(_schema_error(_NODE.malformed, "/tree"))
+        diags.append(Diagnostic("E_SCHEMA", "/tree", _NODE.malformed))
         return (), None
     nodes: list[TaxonomyNode] = []
     stack = [((), "tree", None, root)]
     while stack:
         entry = stack.pop()
         ids = []
-        for i, child in enumerate(_items(entry[3], "children", entry, diags)):
+        for i, child in enumerate(_field(entry[3], "children", "list", entry, diags, ())):
             child_entry = (entry, "children", i, child)
             if isinstance(child, dict) and isinstance(child.get("id"), str):
                 ids.append(child["id"])
                 stack.append(child_entry)
             else:
-                diags.append(_schema_error(_NODE.malformed, _path(child_entry)))
+                diags.append(Diagnostic("E_SCHEMA", _path(child_entry), _NODE.malformed))
         nodes.append(_parse_record(entry[3], entry, _NODE, diags, tuple(ids)))
     nodes.reverse()
     return tuple(nodes), root["id"]
@@ -345,17 +336,14 @@ def parse_document_dict(
     """Turn an already-decoded JSON document into a model plus diagnostics."""
     diags: list[Diagnostic] = []
     if not isinstance(doc, dict):
-        return None, [_schema_error("document must be a JSON object", "/")]
+        return None, [Diagnostic("E_SCHEMA", "/", "document must be a JSON object")]
 
     if doc.get("schema_version") != SCHEMA_VERSION:
-        diags.append(
-            _schema_error(
-                f"schema_version must be {SCHEMA_VERSION!r}", "/schema_version"
-            )
-        )
+        message = f"schema_version must be {SCHEMA_VERSION!r}"
+        diags.append(Diagnostic("E_SCHEMA", "/schema_version", message))
     for section in ("traits", "categories"):
         if doc.get(section) is None:
-            diags.append(_schema_error(f"missing required section {section!r}", "/"))
+            diags.append(Diagnostic("E_SCHEMA", "/", f"missing required section {section!r}"))
     diags.extend(_unknown_keys(doc))
 
     tables = _parse_list(doc, "tables", (), _TABLE, diags)
@@ -376,19 +364,6 @@ def parse_document_dict(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _dump_value(value: Any, kind: Any, cls: type) -> Any:
-    if kind == "string":
-        return value
-    if kind == "strings":
-        return sorted(value) if cls is frozenset else list(value)
-    return [_dump_record(item, kind) for item in value]
-
-
-def _dump_record(obj: Any, record: _Record) -> dict:
-    return {key: _dump_value(value, kind, cls)
-            for (key, _, kind, cls), value in zip(record.plan, record.values(obj))}
-
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -487,8 +462,9 @@ def _put_strings(out: list, items: Any, level: int) -> None:
 
 def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
     """The JSON list of the records items, its key at indent level `level`.
-    A value whose class is not the one its field declares, say an int id
-    in a model built in code, is written by _dumps."""
+    A value whose class is not the one its field declares, as a model built
+    in code may hold, goes to the writer of its field's kind: in a string
+    field (say an int id) to _dumps, in a list field (say a set) as a list."""
     if not items:
         out.append("[]")
         return
@@ -499,15 +475,17 @@ def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
         out += ("{", newline)
         for (_, key_text, kind, cls), value in zip(record.plan, record.values(obj)):
             append(key_text)
-            if value.__class__ is not cls:
-                append("null" if value is None and cls is str
-                       else _dumps(_dump_value(value, kind, cls), newline))
-            elif cls is str:
-                append(encode_basestring(value) if value.isascii() else _string_text(value))
-            elif kind == "strings":
-                _put_strings(out, sorted(value) if cls is frozenset else value, level + 2)
+            if cls is str:
+                if value.__class__ is str:
+                    append(encode_basestring(value) if value.isascii() else _string_text(value))
+                else:
+                    append("null" if value is None else _dumps(value, newline))
             else:
-                _put_records(out, value, kind, level + 2)
+                items = value if value.__class__ is cls else list(value)
+                if kind == "strings":
+                    _put_strings(out, sorted(items) if cls is frozenset else items, level + 2)
+                else:
+                    _put_records(out, items, kind, level + 2)
             append(separator)
         out[-1] = _NEWLINES[level + 1]
         out += ("}", _SEPARATORS[level + 1])
@@ -594,7 +572,7 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     tree are ignored. The merged model is re-validated and must be clean.
     """
     if not isinstance(extension, dict):
-        raise IngestError([_schema_error("extension must be a JSON object", "/")])
+        raise IngestError([Diagnostic("E_SCHEMA", "/", "extension must be a JSON object")])
     diags = _unknown_keys(extension)
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
@@ -637,11 +615,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
                 conflicts.append(Diagnostic("E_CONFLICT", f"/{key}/{item.id}", message))
         return existing + tuple(item for item in incoming if item.id not in current)
 
-    merged = TaxonomyModel(
+    merged = base._replace(
         traits=extend(base.traits, new_traits, "traits"),
         categories=extend(base.categories, new_categories, "categories"),
-        nodes=base.nodes,
-        root_id=base.root_id,
         channels=extend(base.channels, new_channels, "channels"),
         tables=tuple(tables),
         metadata=dict(base.metadata),

@@ -239,19 +239,15 @@ class TaxonomyModel:
         return self._node_by_id.get(self.root_id)
 
 
-def build_tree(model: TaxonomyModel) -> TaxonomyNode:
-    """Return the taxonomy root node."""
+def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
+    """Depth-first (node, depth) traversal in child order, with an explicit
+    stack; each node id is visited once, so a cyclic model cannot loop. A
+    model without a tree raises PolicyError (E_NOT_FOUND) on the first next()."""
     root = model.tree
     if root is None:
         raise PolicyError("E_NOT_FOUND", "model has no taxonomy tree")
-    return root
-
-
-def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
-    """Depth-first (node, depth) traversal in child order, with an explicit
-    stack; each node id is visited once, so a cyclic model cannot loop."""
     seen = set()
-    stack = [(build_tree(model), 0)]
+    stack = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         if node.id not in seen:
@@ -300,49 +296,46 @@ def _collection_paused() -> Iterator[None]:
 # Validation
 # ---------------------------------------------------------------------------
 
-# A finding as validation yields it: (code, path, message).
-Finding = tuple[str, str, str]
-
-
-def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Finding]:
+def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Diagnostic]:
     seen = set()
     for p in params:
         param_path = f"{path}/parameters/{p.name}"
         if p.kind not in PARAMETER_KINDS:
-            yield "E_BAD_KIND", param_path, f"unknown parameter kind {p.kind!r}"
+            yield Diagnostic("E_BAD_KIND", param_path, f"unknown parameter kind {p.kind!r}")
         if p.name in seen:
-            yield "E_DUP_PARAM", param_path, f"duplicate parameter name {p.name!r}"
+            yield Diagnostic("E_DUP_PARAM", param_path, f"duplicate parameter name {p.name!r}")
         seen.add(p.name)
 
 
-def _check_unique_ids(items, path_prefix: str) -> Iterator[Finding]:
+def _check_unique_ids(items, path_prefix: str) -> Iterator[Diagnostic]:
     seen = set()
     for item in items:
         if item.id in seen:
-            yield "E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}"
+            yield Diagnostic("E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}")
         seen.add(item.id)
 
 
-def _validate_tree(model: TaxonomyModel) -> Iterator[Finding]:
+def _validate_tree(model: TaxonomyModel) -> Iterator[Diagnostic]:
     if model.root_id is None:
         if model.nodes:
-            yield "E_NOT_A_TREE", "/tree", "nodes without a root"
+            yield Diagnostic("E_NOT_A_TREE", "/tree", "nodes without a root")
         return
     if model.node(model.root_id) is None:
-        yield "E_DANGLING_NODE_REF", "/tree", f"root id {model.root_id!r} does not resolve"
+        message = f"root id {model.root_id!r} does not resolve"
+        yield Diagnostic("E_DANGLING_NODE_REF", "/tree", message)
         return
 
     parent_of: dict[str, str] = {}
     for node in model.nodes:
         for child_id in node.children:
             if model.node(child_id) is None:
-                yield (
+                yield Diagnostic(
                     "E_DANGLING_NODE_REF", f"/tree/{node.id}",
                     f"child id {child_id!r} does not resolve",
                 )
                 continue
             if child_id in parent_of or child_id == model.root_id:
-                yield (
+                yield Diagnostic(
                     "E_NOT_A_TREE", f"/tree/{child_id}",
                     f"node {child_id!r} has more than one parent",
                 )
@@ -354,7 +347,7 @@ def _validate_tree(model: TaxonomyModel) -> Iterator[Finding]:
     reachable = {node.id for node, _ in iter_tree(model)}
     for node in model.nodes:
         if node.id not in reachable:
-            yield (
+            yield Diagnostic(
                 "E_NOT_A_TREE", f"/tree/{node.id}",
                 f"node {node.id!r} is not reachable from the root",
             )
@@ -362,49 +355,52 @@ def _validate_tree(model: TaxonomyModel) -> Iterator[Finding]:
     for node in model.nodes:
         path = f"/tree/{node.id}"
         if node.kind not in NODE_KINDS:
-            yield "E_BAD_KIND", path, f"unknown node kind {node.kind!r}"
+            yield Diagnostic("E_BAD_KIND", path, f"unknown node kind {node.kind!r}")
         if node.kind == "category":
             if node.category_ref is None or model.category(node.category_ref) is None:
-                yield (
+                yield Diagnostic(
                     "E_UNKNOWN_CATEGORY", path,
                     f"category node {node.id!r} has no resolvable category_ref",
                 )
             if node.children:
-                yield "E_BAD_LEAF", path, f"category node {node.id!r} must not have children"
+                message = f"category node {node.id!r} must not have children"
+                yield Diagnostic("E_BAD_LEAF", path, message)
         elif node.category_ref is not None and model.category(node.category_ref) is None:
-            yield "E_UNKNOWN_CATEGORY", path, f"node {node.id!r} references unknown category"
+            message = f"node {node.id!r} references unknown category"
+            yield Diagnostic("E_UNKNOWN_CATEGORY", path, message)
 
 
-def _validate_tables(model: TaxonomyModel) -> Iterator[Finding]:
+def _validate_tables(model: TaxonomyModel) -> Iterator[Diagnostic]:
     seen_names = set()
     for table in model.tables:
         path = f"/tables/{table.name}"
         if table.name in seen_names:
-            yield "E_DUP_ID", path, f"duplicate table {table.name!r}"
+            yield Diagnostic("E_DUP_ID", path, f"duplicate table {table.name!r}")
         seen_names.add(table.name)
         seen_columns, seen_rows = set(), set()
         for trait_id in table.trait_columns:
             if trait_id in seen_columns:
-                yield "E_DUP_ID", f"{path}/columns/{trait_id}", f"duplicate column {trait_id!r}"
+                message = f"duplicate column {trait_id!r}"
+                yield Diagnostic("E_DUP_ID", f"{path}/columns/{trait_id}", message)
             seen_columns.add(trait_id)
             if model.trait(trait_id) is None:
-                yield (
+                yield Diagnostic(
                     "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
                     f"table column {trait_id!r} is not a trait",
                 )
         for row in table.rows:
             row_path = f"{path}/rows/{row.category_id}"
             if row.category_id in seen_rows:
-                yield "E_DUP_ID", row_path, f"duplicate row {row.category_id!r}"
+                yield Diagnostic("E_DUP_ID", row_path, f"duplicate row {row.category_id!r}")
             seen_rows.add(row.category_id)
             if model.category(row.category_id) is None:
-                yield (
+                yield Diagnostic(
                     "E_UNKNOWN_CATEGORY", row_path,
                     f"row references unknown category {row.category_id!r}",
                 )
             for mark in row.marks:
                 if mark not in seen_columns:
-                    yield (
+                    yield Diagnostic(
                         "E_BAD_MARK", row_path,
                         f"mark {mark!r} is not a column of table {table.name!r}",
                     )
@@ -420,17 +416,17 @@ def _first_kinds(params: Iterable[ParameterSpec], path: str) -> dict[str, tuple[
 
 def _kind_clashes(
     earlier: dict[str, tuple[str, str]], params: Iterable[ParameterSpec], path: str
-) -> Iterator[Finding]:
+) -> Iterator[Diagnostic]:
     for p in params:
         kind, at = earlier.get(p.name, (p.kind, ""))
         if kind != p.kind:
-            yield (
+            yield Diagnostic(
                 "E_DUP_PARAM", f"{path}/parameters/{p.name}",
                 f"parameter {p.name!r} is {p.kind!r} here but {kind!r} at {at}",
             )
 
 
-def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Finding]:
+def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Diagnostic]:
     """A name that a category, a trait marked for it or one of that trait's
     subtraits declare with different kinds can bind no value; the later
     declaration is flagged. Reads the table marks, not the trait-set view,
@@ -461,7 +457,7 @@ def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Finding]:
                 yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
 
 
-def _findings(model: TaxonomyModel) -> Iterator[Finding]:
+def _findings(model: TaxonomyModel) -> Iterator[Diagnostic]:
     yield from _check_unique_ids(model.traits, "/traits")
     for trait in model.traits:
         path = f"/traits/{trait.id}"
@@ -475,9 +471,9 @@ def _findings(model: TaxonomyModel) -> Iterator[Finding]:
         path = f"/categories/{category.id}"
         yield from _check_parameters(category.own_parameters, path)
         if not category.group_path or category.group_path[0] != ROOT_GROUP:
-            yield "E_BAD_GROUP_PATH", path, f"group_path must start at {ROOT_GROUP!r}"
+            yield Diagnostic("E_BAD_GROUP_PATH", path, f"group_path must start at {ROOT_GROUP!r}")
         if category.channel_ref is not None and model.channel(category.channel_ref) is None:
-            yield (
+            yield Diagnostic(
                 "E_UNKNOWN_CHANNEL", path, f"channel_ref {category.channel_ref!r} does not resolve"
             )
 
@@ -485,9 +481,9 @@ def _findings(model: TaxonomyModel) -> Iterator[Finding]:
     for channel in model.channels:
         path = f"/channels/{channel.id}"
         if channel.authority not in AUTHORITIES:
-            yield "E_BAD_KIND", path, f"unknown authority {channel.authority!r}"
+            yield Diagnostic("E_BAD_KIND", path, f"unknown authority {channel.authority!r}")
         if not channel.statement_path or channel.statement_path[0] not in STATEMENT_SECTIONS:
-            yield (
+            yield Diagnostic(
                 "E_BAD_STATEMENT_PATH", path,
                 "statement_path must start with an income-statement section",
             )
@@ -504,7 +500,7 @@ def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
     Validation is total: it collects all findings instead of stopping at
     the first one, and the result is insensitive to list order in the model.
     """
-    return sorted(Diagnostic(*f) for f in _findings(model))
+    return sorted(_findings(model))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +588,6 @@ __all__ = [
     "AtomicPolicy",
     "TaxonomyModel",
     "table_marks",
-    "build_tree",
     "iter_tree",
     "validate_model",
     "instantiate_atomic_policy",

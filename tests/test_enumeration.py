@@ -8,7 +8,7 @@ from polytax.enumeration import (
     enumerate_schemas,
     lookup,
 )
-from polytax.model import PolicyError, build_tree, iter_tree
+from polytax.model import PolicyError, iter_tree
 
 from .strategies import taxonomy_models
 
@@ -156,14 +156,14 @@ def test_deterministic_order(model):
 # ---------------------------------------------------------------------------
 
 def test_root_has_trade_and_stabilization_children(model):
-    root = build_tree(model)
+    root = model.tree
     assert root.label == "Economic Policy"
     labels = [model.node(c).label for c in root.children]
     assert labels == ["International Trade Policy", "Stabilization Policy"]
 
 
 def test_stabilization_splits_into_fiscal_and_monetary(model):
-    root = build_tree(model)
+    root = model.tree
     stab = next(
         model.node(c) for c in root.children
         if model.node(c).label == "Stabilization Policy"
@@ -178,7 +178,7 @@ def test_forward_guidance_path(model):
         "Stabilization Policy", "Monetary Policy",
         "Communications Policy", "Forward Guidance",
     ]
-    node = build_tree(model)
+    node = model.tree
     for label in path:
         node = next(
             model.node(c) for c in node.children if model.node(c).label == label

@@ -142,6 +142,19 @@ def test_roundtrip_identity_property(m):
     assert again == m
 
 
+def _dump_value(value, kind, cls):
+    if kind == "string":
+        return value
+    if kind == "strings":
+        return sorted(value) if cls is frozenset else list(value)
+    return [_dump_record(item, kind) for item in value]
+
+
+def _dump_record(obj, record):
+    return {key: _dump_value(value, kind, cls)
+            for (key, _, kind, cls), value in zip(record.plan, record.values(obj))}
+
+
 def model_to_document(model):
     """The canonical document as a dict: stable key order, document list
     order. Each node iter_tree visits is dumped once, as a child of the last
@@ -149,11 +162,11 @@ def model_to_document(model):
     are left out. With stdlib_dumps, the serializer's byte oracle."""
     doc = {"schema_version": ingest.SCHEMA_VERSION, "meta": dict(model.metadata)}
     for key, record in ingest._SECTIONS.items():
-        doc[key] = [ingest._dump_record(item, record) for item in getattr(model, key)]
+        doc[key] = [_dump_record(item, record) for item in getattr(model, key)]
     if model.tree is not None:
         levels = []
         for node, depth in iter_tree(model):
-            out = {k: v for k, v in ingest._dump_record(node, ingest._NODE).items()
+            out = {k: v for k, v in _dump_record(node, ingest._NODE).items()
                    if v is not None}
             if depth:
                 levels[depth - 1].setdefault("children", []).append(out)
