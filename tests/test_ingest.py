@@ -143,6 +143,8 @@ def test_roundtrip_identity_property(m):
 
 
 def _dump_value(value, kind, cls):
+    """A field's value as the oracle's document holds it: a list field as a
+    list (a frozenset's sorted), each record in it as a dict."""
     if kind == "string":
         return value
     if kind == "strings":
