@@ -481,11 +481,11 @@ def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
                 else:
                     append("null" if value is None else _dumps(value, newline))
             else:
-                items = value if value.__class__ is cls else list(value)
+                listed = value if value.__class__ is cls else list(value)
                 if kind == "strings":
-                    _put_strings(out, sorted(items) if cls is frozenset else items, level + 2)
+                    _put_strings(out, sorted(listed) if cls is frozenset else listed, level + 2)
                 else:
-                    _put_records(out, items, kind, level + 2)
+                    _put_records(out, listed, kind, level + 2)
             append(separator)
         out[-1] = _NEWLINES[level + 1]
         out += ("}", _SEPARATORS[level + 1])
