@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from polytax import ingest
+from polytax import model as M
 from polytax.enumeration import (
     EnumerationFilter,
+    _resolve_filter,
     count_checkmarks,
     enumerate_schemas,
     lookup,
@@ -52,23 +56,85 @@ def filters_of(model):
     yield from (EnumerationFilter(group_prefix=p) for p in sorted(prefixes))
 
 
-def assert_counts_sum_to_schemas(model):
+def reference_checkmarks(model, flt, expand_subtraits):
+    """The reference walk: resolve the filter, then yield (table name,
+    category id, trait id, subtrait id or None) for each checkmark that
+    survives it, in document order; with expand_subtraits, one per subtrait
+    of its trait."""
+    flt = flt or EnumerationFilter()
+    _resolve_filter(model, flt)
+    prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
+    for table in model.tables:
+        if flt.table is not None and table.name != flt.table:
+            continue
+        for row in table.rows:
+            category = model.category(row.category_id)
+            if category is None:
+                continue
+            if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
+                continue
+            if prefix is not None and category.group_path[: len(prefix)] != prefix:
+                continue
+            marks = set(row.marks)
+            for trait_id in table.trait_columns:
+                if trait_id not in marks:
+                    continue
+                if flt.trait_id is not None and trait_id != flt.trait_id:
+                    continue
+                trait = model.trait(trait_id) if expand_subtraits else None
+                if trait is not None and trait.subtraits:
+                    for sub in trait.subtraits:
+                        yield table.name, row.category_id, trait_id, sub.id
+                else:
+                    yield table.name, row.category_id, trait_id, None
+
+
+def assert_enumeration_matches_the_reference(model):
+    """Schemas and counts, in order, equal the reference walk's for every
+    filter, both expansions and every grouping."""
     for flt in filters_of(model):
         for expand in (False, True):
+            marks = list(reference_checkmarks(model, flt, expand))
             schemas = enumerate_schemas(model, flt, expand)
-            for by in ("table", "category", "trait"):
+            assert schemas == [M.AtomicPolicySchema(*mark[1:]) for mark in marks], (flt, expand)
+            for field, by in enumerate(("table", "category", "trait")):
                 counts = count_checkmarks(model, by, flt, expand)
-                assert sum(counts.values()) == len(schemas), (flt, expand, by)
+                expected = Counter(mark[field] for mark in marks)
+                assert list(counts.items()) == list(expected.items()), (flt, expand, by)
+                assert sum(counts.values()) == len(schemas)
 
 
 def test_grouped_counts_sum_to_filtered_schemas(model):
-    assert_counts_sum_to_schemas(model)
+    assert_enumeration_matches_the_reference(model)
 
 
 @settings(max_examples=50, deadline=None)
 @given(taxonomy_models())
 def test_grouped_counts_sum_to_filtered_schemas_property(m):
-    assert_counts_sum_to_schemas(m)
+    assert_enumeration_matches_the_reference(m)
+
+
+def test_invalid_tables_enumerate_as_the_reference_walk(model):
+    """A duplicated column counts twice, a row of an unknown category is
+    skipped, a mark outside the columns is not listed, a repeated row is
+    listed twice, and a trait id defined twice expands as its last
+    definition."""
+    first, *rest = model.traits
+    twice = first._replace(subtraits=first.subtraits[:1] or (M.SubtraitDef("only", "Only"),))
+    table = model.tables[0]
+    rows = table.rows
+    bad = table._replace(
+        trait_columns=(*table.trait_columns, table.trait_columns[0], first.id),
+        rows=(*rows, rows[0], M.TableRow("no-category", (first.id,)),
+              rows[1]._replace(marks=(*rows[1].marks, "no-column", first.id))),
+    )
+    invalid = model._replace(traits=(first, *rest, twice), tables=(bad, *model.tables[1:]))
+    assert {d.code for d in M.validate_model(invalid)} == {
+        "E_DUP_ID", "E_UNKNOWN_CATEGORY", "E_BAD_MARK"}
+    assert_enumeration_matches_the_reference(invalid)
+    schemas = enumerate_schemas(invalid, expand_subtraits=True)
+    assert M.AtomicPolicySchema(rows[0].category_id, first.id, twice.subtraits[0].id) in schemas
+    assert not any(s.subtrait_id == first.subtraits[-1].id for s in schemas)
 
 
 def test_grouped_counts_follow_the_filter(model):

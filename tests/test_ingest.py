@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import sys
 from collections import OrderedDict
 
@@ -715,6 +716,136 @@ def test_parse_and_merge_outcomes_are_pinned():
     for outcome in pinned_outcomes():
         digest.update(outcome.encode("utf-8", "surrogatepass") + b"\n")
     assert digest.hexdigest() == PINNED_OUTCOMES_SHA256
+
+
+def random_extension(rng, doc):
+    """A seeded extension of the base document doc. Each choice that can
+    break the merge is taken with one probability drawn per extension:
+    ids repeated within the extension, redefinitions with other content,
+    bad kinds and duplicate parameters, kind clashes within a trait and
+    against an owner category (new, or of the base gaining a row), a bad
+    group_path, channel_ref, authority or statement path, unknown columns
+    and row categories, marks outside the columns, a row or column
+    repeated, and two new tables of one name. The others add clean
+    records, mark them in base and new tables, and redefine base records
+    identically."""
+    pick = rng.choice
+    bad = pick([0.0, 0.02, 0.1, 0.4])
+
+    def flaw():
+        return rng.random() < bad
+
+    owners = [c for c in doc["categories"] if c["own_parameters"]]
+    shared = ["p", "q"] + [p["name"] for c in owners[:3] for p in c["own_parameters"]]
+
+    def parameters(prefix):
+        params = []
+        for k in range(pick([0, 0, 1, 2])):
+            if flaw():
+                params.append({"name": pick(shared), "kind": pick(["rate", "amount", "bogus"])})
+            else:
+                params.append({"name": f"{prefix}{k}", "kind": pick(["rate", "amount"])})
+        return params
+
+    used = set()
+
+    def new_id(prefix):
+        if used and flaw():
+            return pick(sorted(i for i in used if i.startswith(prefix)) or [prefix + "0"])
+        ident = f"{prefix}{len(used)}"
+        used.add(ident)
+        return ident
+
+    ext = {"traits": [], "categories": [], "channels": [], "tables": []}
+    for _ in range(rng.randrange(3)):
+        ext["channels"].append({
+            "id": new_id("nch"), "name": "New",
+            "authority": "bank" if flaw() else pick(["government", "monetary-authority"]),
+            "statement_path": pick([["Elsewhere"], []]) if flaw() else ["Irregular Items"],
+        })
+    channels = [c["id"] for c in doc["channels"] + ext["channels"]]
+    for _ in range(rng.randrange(4)):
+        trait = new_id("nt")
+        subtraits = [{"id": f"{trait}-s{k}", "name": "Sub", "parameters": parameters(f"{trait}-s")}
+                     for k in range(pick([0, 0, 1, 2]))]
+        ext["traits"].append({"id": trait, "name": "New", "parameters": parameters(trait),
+                              "subtraits": subtraits})
+    for _ in range(rng.randrange(4)):
+        category = new_id("nc")
+        channel = "no-channel" if flaw() else pick([None, None, *channels])
+        ext["categories"].append({
+            "id": category, "name": "New", "own_parameters": parameters(category),
+            "group_path": pick([["Elsewhere"], []]) if flaw() else ["Economic Policy", "New"],
+            "channel_ref": channel,
+        })
+    for section in ("traits", "categories", "channels", "tables"):
+        if doc[section] and rng.random() < 0.2:
+            record = dict(pick(doc[section]))
+            if flaw():
+                record["name" if section != "tables" else "title"] = "Other content"
+            ext[section].append(record)
+    if owners and flaw():
+        owner = pick(owners)
+        clash = pick(owner["own_parameters"])
+        kind = pick([k for k in ("rate", "amount", "reference") if k != clash["kind"]])
+        ext["traits"].append({"id": "nt-owner", "name": "Owner clash",
+                              "parameters": [{"name": clash["name"], "kind": kind}]})
+        table = pick(doc["tables"])["name"] if doc["tables"] else "new-table"
+        ext["tables"].append({"name": table, "trait_columns": ["nt-owner"],
+                              "rows": [{"category": owner["id"], "marks": ["nt-owner"]}]})
+    trait_ids = [t["id"] for t in doc["traits"] + ext["traits"]]
+    category_ids = [c["id"] for c in doc["categories"] + ext["categories"]]
+    table_names = [t["name"] for t in doc["tables"]]
+    for _ in range(rng.randrange(4)):
+        if not table_names or rng.random() < 0.4:
+            table_names.append(pick(table_names) if table_names and flaw() else new_id("tab"))
+        columns = rng.sample(trait_ids, min(len(trait_ids), rng.randrange(1, 4)))
+        if flaw():
+            columns.append(pick(["no-trait", *columns]))
+        rows = []
+        for category in rng.sample(category_ids, min(len(category_ids), rng.randrange(4))):
+            if flaw():
+                category = "no-category"
+            marks = [c for c in columns if rng.random() < 0.6]
+            if flaw():
+                marks.append(pick(trait_ids))
+            rows.append({"category": category, "marks": marks})
+        if rows and flaw():
+            rows.append(dict(rows[0]))
+        ext["tables"].append({"name": pick(table_names), "trait_columns": columns,
+                              "rows": rows})
+    return ext
+
+
+def merge_outcomes(base, seed, count):
+    """repr(merge_extension(base, ext)), or the sorted diagnostics it
+    raises, for count seeded extensions of base."""
+    rng = random.Random(seed)
+    doc = model_to_document(base)
+    for _ in range(count):
+        ext = random_extension(rng, doc)
+        try:
+            outcome = repr(ingest.merge_extension(base, ext))
+        except ingest.IngestError as exc:
+            outcome = repr(sorted(exc.diagnostics))
+        yield repr((ext, outcome))
+
+
+# The sha256 of merge_outcomes over the bases of test_merge_outcomes_are_pinned:
+# a merge or validation change that alters any outcome changes it.
+PINNED_MERGE_SHA256 = "23ec0b2c468a787e35588e93efdf4aa693f83c19395d61b3cd11c09b8f5e7925"
+
+
+def test_merge_outcomes_are_pinned(model):
+    findings = substitute(SMALL, ("categories", 1, "group_path"), ["Elsewhere"])
+    findings = substitute(findings, ("traits", 1, "parameters"), [{"name": "f", "kind": "rate"}])
+    findings_model, diags = ingest.parse_document_dict(findings)
+    assert [d.code for d in diags] == ["E_BAD_GROUP_PATH", "E_DUP_PARAM"]
+    digest = hashlib.sha256()
+    for seed, base, count in ((1, SMALL_MODEL, 600), (2, model, 300), (3, findings_model, 100)):
+        for outcome in merge_outcomes(base, seed, count):
+            digest.update(outcome.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == PINNED_MERGE_SHA256
 
 
 def test_subclass_containers_parse_as_their_plain_values():
