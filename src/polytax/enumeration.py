@@ -5,8 +5,11 @@ category's marks over all tables are TaxonomyModel.implementable_trait_ids.
 Order is deterministic: table order, then row order, then trait-column
 order, and subtrait expansion follows subtrait definition order. Listing
 and counting read one walk, so a filtered count is the length of the list.
-enumerate_schemas pauses the cyclic garbage collector while it builds the
-list, as ingest's bulk builders do; the pause is process-wide.
+The walk yields one item per table row, with the (trait, subtrait) pairs
+of its checkmarks; each trait's pairs are resolved once per call, and a
+count adds a row's number of pairs. enumerate_schemas pauses the cyclic
+garbage collector while it builds the list, as ingest's bulk builders do;
+the pause is process-wide.
 """
 from __future__ import annotations
 
@@ -50,23 +53,29 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
             )
 
 
-_GROUP_FIELD = {"table": 0, "category": 1, "trait": 2}  # index into a _checkmarks tuple
-
-
-def _checkmarks(
+def _rows(
     model: TaxonomyModel, flt: Optional[EnumerationFilter], expand_subtraits: bool
-) -> Iterator[tuple[str, str, str, Optional[str]]]:
-    """Resolve the filter, then yield (table name, category id, trait id,
-    subtrait id or None) for each checkmark that survives it, in document
-    order; with expand_subtraits, one per subtrait of its trait."""
+) -> Iterator[tuple[str, str, list[tuple[str, Optional[str]]]]]:
+    """Resolve the filter, then yield (table name, category id, pairs) for
+    each row that survives it, in document order. pairs holds a (trait id,
+    subtrait id or None) pair per schema of the row's checkmarks, in column
+    order; with expand_subtraits, one per subtrait of the trait. Each
+    trait's pairs are built once per call, from its last definition."""
     flt = flt or EnumerationFilter()
     _resolve_filter(model, flt)
     prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
+    expansions = {}
+    if expand_subtraits:
+        expansions = {t.id: tuple((t.id, sub.id) for sub in t.subtraits) for t in model.traits}
+    categories = model._category_by_id
     for table in model.tables:
         if flt.table is not None and table.name != flt.table:
             continue
+        columns = [(trait_id, expansions.get(trait_id) or ((trait_id, None),))
+                   for trait_id in table.trait_columns
+                   if flt.trait_id is None or trait_id == flt.trait_id]
         for row in table.rows:
-            category = model.category(row.category_id)
+            category = categories.get(row.category_id)
             if category is None:
                 continue
             if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
@@ -74,17 +83,10 @@ def _checkmarks(
             if prefix is not None and category.group_path[: len(prefix)] != prefix:
                 continue
             marks = set(row.marks)
-            for trait_id in table.trait_columns:
-                if trait_id not in marks:
-                    continue
-                if flt.trait_id is not None and trait_id != flt.trait_id:
-                    continue
-                trait = model.trait(trait_id) if expand_subtraits else None
-                if trait is not None and trait.subtraits:
-                    for sub in trait.subtraits:
-                        yield table.name, row.category_id, trait_id, sub.id
-                else:
-                    yield table.name, row.category_id, trait_id, None
+            pairs = [pair for trait_id, expansion in columns if trait_id in marks
+                     for pair in expansion]
+            if pairs:
+                yield table.name, row.category_id, pairs
 
 
 @_collection_paused()
@@ -98,8 +100,12 @@ def enumerate_schemas(
     With expand_subtraits, a checkmark whose trait has k subtraits yields
     k schemas (one per subtrait); otherwise one schema per checkmark.
     """
-    marks = _checkmarks(model, flt, expand_subtraits)
-    return [AtomicPolicySchema(category, trait, sub) for _, category, trait, sub in marks]
+    # tuple.__new__ skips the Python-level __new__ that AtomicPolicySchema(...)
+    # runs per schema: a third of an expanded enumeration's time.
+    new = tuple.__new__
+    return [new(AtomicPolicySchema, (category, trait, sub))
+            for _, category, pairs in _rows(model, flt, expand_subtraits)
+            for trait, sub in pairs]
 
 
 def count_checkmarks(
@@ -110,10 +116,16 @@ def count_checkmarks(
 ) -> dict[str, int]:
     """The schemas enumerate_schemas returns for the same filter and
     expansion, counted by table, category, or trait."""
-    if by not in _GROUP_FIELD:
+    if by not in ("table", "category", "trait"):
         raise PolicyError("E_BAD_FILTER", f"cannot group by {by!r}")
-    group = _GROUP_FIELD[by]
-    return Counter(mark[group] for mark in _checkmarks(model, flt, expand_subtraits))
+    rows = _rows(model, flt, expand_subtraits)
+    if by == "trait":
+        return Counter(trait for _, _, pairs in rows for trait, _ in pairs)
+    key = 0 if by == "table" else 1
+    counts: Counter[str] = Counter()
+    for row in rows:
+        counts[row[key]] += len(row[2])
+    return counts
 
 
 def lookup(

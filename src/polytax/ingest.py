@@ -48,6 +48,7 @@ from .model import (
     TraitDef,
     TransactionChannel,
     _collection_paused,
+    _merge_findings,
     iter_tree,
     table_marks,
     validate_model,
@@ -569,7 +570,11 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     Redefining an existing id with different content raises IngestError
     with E_CONFLICT; identical redefinitions are no-ops. An unknown top-level
     key raises E_SCHEMA at /{key}, as in parsing; schema_version, meta and
-    tree are ignored. The merged model is re-validated and must be clean.
+    tree are ignored. The merged model must be clean: into a base that
+    validate_model finds clean, only the appended records, the changed and
+    new tables and the parameter kinds they bring in are checked, with the
+    findings a whole validation of the merged model would give; into any
+    other base, the merged model is validated whole.
     """
     if not isinstance(extension, dict):
         raise IngestError([Diagnostic("E_SCHEMA", "/", "extension must be a JSON object")])
@@ -624,7 +629,12 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     )
     if conflicts:
         raise IngestError(sorted(conflicts))
-    problems = validate_model(merged)
+    # A merge only appends, so into a clean base only what it appends can
+    # give a finding; otherwise the merged model is validated whole.
+    if validate_model(base):
+        problems = validate_model(merged)
+    else:
+        problems = sorted(_merge_findings(base, merged))
     if problems:
         raise IngestError(problems)
     return merged

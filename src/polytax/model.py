@@ -8,6 +8,10 @@ immutable named tuples; TaxonomyModel indexes them, is treated as
 immutable and copies as they do, with _replace. Validation never raises;
 it returns diagnostics. A Diagnostic is a code, a JSON path and a message;
 every diagnostic is an error, and lists of them sort by those three fields.
+A model's sorted diagnostics are computed on the first validate_model call
+and kept on it, as the trait-set view is; a _replace copy starts without
+them. A merge into a clean base checks only what it appended
+(_merge_findings), with the findings a whole validation would give.
 """
 from __future__ import annotations
 
@@ -228,6 +232,13 @@ class TaxonomyModel:
         # never read it.
         return {c: frozenset(marks) for c, marks in table_marks(self.tables).items()}
 
+    @cached_property
+    def _diagnostics(self) -> list[Diagnostic]:
+        # validate_model's sorted findings, computed on its first call. A
+        # _replace copy starts without them; _fields, __eq__ and __repr__
+        # never read them.
+        return sorted(_findings(self))
+
     def implementable_trait_ids(self, category_id: str) -> frozenset[str]:
         """The trait ids marked for the category over all tables' rows."""
         return self._marks_by_category.get(category_id, frozenset())
@@ -296,112 +307,175 @@ def _collection_paused() -> Iterator[None]:
 # Validation
 # ---------------------------------------------------------------------------
 
+# The checks below read the model's by-id indexes directly, and format a
+# JSON path only for a finding they yield: on a clean model they build no
+# string per record.
+
 def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Diagnostic]:
     seen = set()
     for p in params:
-        param_path = f"{path}/parameters/{p.name}"
         if p.kind not in PARAMETER_KINDS:
-            yield Diagnostic("E_BAD_KIND", param_path, f"unknown parameter kind {p.kind!r}")
+            message = f"unknown parameter kind {p.kind!r}"
+            yield Diagnostic("E_BAD_KIND", f"{path}/parameters/{p.name}", message)
         if p.name in seen:
-            yield Diagnostic("E_DUP_PARAM", param_path, f"duplicate parameter name {p.name!r}")
+            message = f"duplicate parameter name {p.name!r}"
+            yield Diagnostic("E_DUP_PARAM", f"{path}/parameters/{p.name}", message)
         seen.add(p.name)
 
 
-def _check_unique_ids(items, path_prefix: str) -> Iterator[Diagnostic]:
-    seen = set()
+def _check_unique_ids(items, path_prefix: str, seen: set) -> Iterator[Diagnostic]:
+    """E_DUP_ID for each item whose id is in seen or repeats an earlier one's."""
     for item in items:
         if item.id in seen:
             yield Diagnostic("E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}")
         seen.add(item.id)
 
 
+def _check_traits(traits: Iterable[TraitDef], seen: set) -> Iterator[Diagnostic]:
+    yield from _check_unique_ids(traits, "/traits", seen)
+    for trait in traits:
+        if trait.parameters:
+            yield from _check_parameters(trait.parameters, f"/traits/{trait.id}")
+        if trait.subtraits:
+            path = f"/traits/{trait.id}/subtraits"
+            yield from _check_unique_ids(trait.subtraits, path, set())
+            for sub in trait.subtraits:
+                if sub.parameters:
+                    yield from _check_parameters(sub.parameters, f"{path}/{sub.id}")
+
+
+def _check_categories(
+    model: TaxonomyModel, categories: Iterable[PolicyCategory], seen: set
+) -> Iterator[Diagnostic]:
+    yield from _check_unique_ids(categories, "/categories", seen)
+    channels = model._channel_by_id
+    for category in categories:
+        if category.own_parameters:
+            yield from _check_parameters(category.own_parameters, f"/categories/{category.id}")
+        if not category.group_path or category.group_path[0] != ROOT_GROUP:
+            message = f"group_path must start at {ROOT_GROUP!r}"
+            yield Diagnostic("E_BAD_GROUP_PATH", f"/categories/{category.id}", message)
+        if category.channel_ref is not None and category.channel_ref not in channels:
+            message = f"channel_ref {category.channel_ref!r} does not resolve"
+            yield Diagnostic("E_UNKNOWN_CHANNEL", f"/categories/{category.id}", message)
+
+
+def _check_channels(channels: Iterable[TransactionChannel], seen: set) -> Iterator[Diagnostic]:
+    yield from _check_unique_ids(channels, "/channels", seen)
+    for channel in channels:
+        if channel.authority not in AUTHORITIES:
+            message = f"unknown authority {channel.authority!r}"
+            yield Diagnostic("E_BAD_KIND", f"/channels/{channel.id}", message)
+        if not channel.statement_path or channel.statement_path[0] not in STATEMENT_SECTIONS:
+            yield Diagnostic(
+                "E_BAD_STATEMENT_PATH", f"/channels/{channel.id}",
+                "statement_path must start with an income-statement section",
+            )
+
+
 def _validate_tree(model: TaxonomyModel) -> Iterator[Diagnostic]:
-    if model.root_id is None:
+    nodes, root_id = model._node_by_id, model.root_id
+    if root_id is None:
         if model.nodes:
             yield Diagnostic("E_NOT_A_TREE", "/tree", "nodes without a root")
         return
-    if model.node(model.root_id) is None:
-        message = f"root id {model.root_id!r} does not resolve"
+    if root_id not in nodes:
+        message = f"root id {root_id!r} does not resolve"
         yield Diagnostic("E_DANGLING_NODE_REF", "/tree", message)
         return
 
-    parent_of: dict[str, str] = {}
+    has_parent: set[str] = set()
     for node in model.nodes:
         for child_id in node.children:
-            if model.node(child_id) is None:
+            if child_id not in nodes:
                 yield Diagnostic(
                     "E_DANGLING_NODE_REF", f"/tree/{node.id}",
                     f"child id {child_id!r} does not resolve",
                 )
-                continue
-            if child_id in parent_of or child_id == model.root_id:
+            elif child_id in has_parent or child_id == root_id:
                 yield Diagnostic(
                     "E_NOT_A_TREE", f"/tree/{child_id}",
                     f"node {child_id!r} has more than one parent",
                 )
-                continue
-            parent_of[child_id] = node.id
+            else:
+                has_parent.add(child_id)
 
-    # Reachability from the root; cycles leave nodes unreachable or are
-    # flagged above as repeated parents.
-    reachable = {node.id for node, _ in iter_tree(model)}
-    for node in model.nodes:
-        if node.id not in reachable:
-            yield Diagnostic(
-                "E_NOT_A_TREE", f"/tree/{node.id}",
-                f"node {node.id!r} is not reachable from the root",
-            )
-
-    for node in model.nodes:
-        path = f"/tree/{node.id}"
-        if node.kind not in NODE_KINDS:
-            yield Diagnostic("E_BAD_KIND", path, f"unknown node kind {node.kind!r}")
-        if node.kind == "category":
-            if node.category_ref is None or model.category(node.category_ref) is None:
+    # Reachability from the root, over the ids iter_tree visits; cycles
+    # leave nodes unreachable or are flagged above as repeated parents.
+    reachable = {root_id}
+    stack = [root_id]
+    while stack:
+        for child_id in nodes[stack.pop()].children:
+            if child_id not in reachable and child_id in nodes:
+                reachable.add(child_id)
+                stack.append(child_id)
+    if len(reachable) < len(nodes):
+        for node in model.nodes:
+            if node.id not in reachable:
                 yield Diagnostic(
-                    "E_UNKNOWN_CATEGORY", path,
+                    "E_NOT_A_TREE", f"/tree/{node.id}",
+                    f"node {node.id!r} is not reachable from the root",
+                )
+
+    categories = model._category_by_id
+    for node in model.nodes:
+        if node.kind == "category":
+            if node.category_ref is None or node.category_ref not in categories:
+                yield Diagnostic(
+                    "E_UNKNOWN_CATEGORY", f"/tree/{node.id}",
                     f"category node {node.id!r} has no resolvable category_ref",
                 )
             if node.children:
                 message = f"category node {node.id!r} must not have children"
-                yield Diagnostic("E_BAD_LEAF", path, message)
-        elif node.category_ref is not None and model.category(node.category_ref) is None:
+                yield Diagnostic("E_BAD_LEAF", f"/tree/{node.id}", message)
+            continue
+        if node.kind not in NODE_KINDS:
+            message = f"unknown node kind {node.kind!r}"
+            yield Diagnostic("E_BAD_KIND", f"/tree/{node.id}", message)
+        if node.category_ref is not None and node.category_ref not in categories:
             message = f"node {node.id!r} references unknown category"
-            yield Diagnostic("E_UNKNOWN_CATEGORY", path, message)
+            yield Diagnostic("E_UNKNOWN_CATEGORY", f"/tree/{node.id}", message)
 
 
-def _validate_tables(model: TaxonomyModel) -> Iterator[Diagnostic]:
-    seen_names = set()
-    for table in model.tables:
-        path = f"/tables/{table.name}"
-        if table.name in seen_names:
-            yield Diagnostic("E_DUP_ID", path, f"duplicate table {table.name!r}")
-        seen_names.add(table.name)
-        seen_columns, seen_rows = set(), set()
-        for trait_id in table.trait_columns:
-            if trait_id in seen_columns:
-                message = f"duplicate column {trait_id!r}"
-                yield Diagnostic("E_DUP_ID", f"{path}/columns/{trait_id}", message)
-            seen_columns.add(trait_id)
-            if model.trait(trait_id) is None:
-                yield Diagnostic(
-                    "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
-                    f"table column {trait_id!r} is not a trait",
-                )
-        for row in table.rows:
-            row_path = f"{path}/rows/{row.category_id}"
-            if row.category_id in seen_rows:
-                yield Diagnostic("E_DUP_ID", row_path, f"duplicate row {row.category_id!r}")
-            seen_rows.add(row.category_id)
-            if model.category(row.category_id) is None:
-                yield Diagnostic(
-                    "E_UNKNOWN_CATEGORY", row_path,
-                    f"row references unknown category {row.category_id!r}",
-                )
+def _check_table_names(tables: Iterable[CheckTable]) -> Iterator[Diagnostic]:
+    seen = set()
+    for table in tables:
+        if table.name in seen:
+            yield Diagnostic("E_DUP_ID", f"/tables/{table.name}", f"duplicate table {table.name!r}")
+        seen.add(table.name)
+
+
+def _check_table(model: TaxonomyModel, table: CheckTable) -> Iterator[Diagnostic]:
+    traits, categories = model._trait_by_id, model._category_by_id
+    path = f"/tables/{table.name}"
+    seen_columns = set()
+    for trait_id in table.trait_columns:
+        if trait_id in seen_columns:
+            message = f"duplicate column {trait_id!r}"
+            yield Diagnostic("E_DUP_ID", f"{path}/columns/{trait_id}", message)
+        seen_columns.add(trait_id)
+        if trait_id not in traits:
+            yield Diagnostic(
+                "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
+                f"table column {trait_id!r} is not a trait",
+            )
+    seen_rows = set()
+    for row in table.rows:
+        category_id = row.category_id
+        if category_id in seen_rows:
+            message = f"duplicate row {category_id!r}"
+            yield Diagnostic("E_DUP_ID", f"{path}/rows/{category_id}", message)
+        seen_rows.add(category_id)
+        if category_id not in categories:
+            yield Diagnostic(
+                "E_UNKNOWN_CATEGORY", f"{path}/rows/{category_id}",
+                f"row references unknown category {category_id!r}",
+            )
+        if not seen_columns.issuperset(row.marks):
             for mark in row.marks:
                 if mark not in seen_columns:
                     yield Diagnostic(
-                        "E_BAD_MARK", row_path,
+                        "E_BAD_MARK", f"{path}/rows/{category_id}",
                         f"mark {mark!r} is not a column of table {table.name!r}",
                     )
 
@@ -426,23 +500,26 @@ def _kind_clashes(
             )
 
 
-def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Diagnostic]:
+def _validate_parameter_kinds(
+    model: TaxonomyModel, tables: Iterable[CheckTable], owners: dict[str, PolicyCategory]
+) -> Iterator[Diagnostic]:
     """A name that a category, a trait marked for it or one of that trait's
     subtraits declare with different kinds can bind no value; the later
-    declaration is flagged. Reads the table marks, not the trait-set view,
-    in one walk that builds a set only for the categories that own
-    parameters: a set per category cost most of a 10,000-category check."""
-    owners = {c.id: c for c in model.categories if c.own_parameters}
+    declaration is flagged. Checks each trait marked in the tables, and
+    each of the owners (categories with own parameters, by id) over its
+    marks there. Reads the table marks, not the trait-set view, in one walk
+    that builds a set only for the owners: a set per category cost most of
+    a 10,000-category check."""
     marked: set[str] = set()
     owned_marks: dict[str, set[str]] = {}
-    for table in model.tables:
+    for table in tables:
         for row in table.rows:
             marked.update(row.marks)
             if row.category_id in owners:
                 owned_marks.setdefault(row.category_id, set()).update(row.marks)
 
     for trait in model.traits:
-        if trait.id in marked:
+        if trait.subtraits and trait.id in marked:
             path = f"/traits/{trait.id}"
             first = _first_kinds(trait.parameters, path)
             for sub in trait.subtraits:
@@ -450,7 +527,7 @@ def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Diagnostic]:
 
     for category_id, marks in owned_marks.items():
         first = _first_kinds(owners[category_id].own_parameters, f"/categories/{category_id}")
-        for trait in filter(None, map(model.trait, marks)):
+        for trait in filter(None, map(model._trait_by_id.get, marks)):
             path = f"/traits/{trait.id}"
             yield from _kind_clashes(first, trait.parameters, path)
             for sub in trait.subtraits:
@@ -458,40 +535,52 @@ def _validate_parameter_kinds(model: TaxonomyModel) -> Iterator[Diagnostic]:
 
 
 def _findings(model: TaxonomyModel) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(model.traits, "/traits")
-    for trait in model.traits:
-        path = f"/traits/{trait.id}"
-        yield from _check_parameters(trait.parameters, path)
-        yield from _check_unique_ids(trait.subtraits, f"{path}/subtraits")
-        for sub in trait.subtraits:
-            yield from _check_parameters(sub.parameters, f"{path}/subtraits/{sub.id}")
-
-    yield from _check_unique_ids(model.categories, "/categories")
-    for category in model.categories:
-        path = f"/categories/{category.id}"
-        yield from _check_parameters(category.own_parameters, path)
-        if not category.group_path or category.group_path[0] != ROOT_GROUP:
-            yield Diagnostic("E_BAD_GROUP_PATH", path, f"group_path must start at {ROOT_GROUP!r}")
-        if category.channel_ref is not None and model.channel(category.channel_ref) is None:
-            yield Diagnostic(
-                "E_UNKNOWN_CHANNEL", path, f"channel_ref {category.channel_ref!r} does not resolve"
-            )
-
-    yield from _check_unique_ids(model.channels, "/channels")
-    for channel in model.channels:
-        path = f"/channels/{channel.id}"
-        if channel.authority not in AUTHORITIES:
-            yield Diagnostic("E_BAD_KIND", path, f"unknown authority {channel.authority!r}")
-        if not channel.statement_path or channel.statement_path[0] not in STATEMENT_SECTIONS:
-            yield Diagnostic(
-                "E_BAD_STATEMENT_PATH", path,
-                "statement_path must start with an income-statement section",
-            )
-
-    yield from _check_unique_ids(model.nodes, "/tree")
+    yield from _check_traits(model.traits, set())
+    yield from _check_categories(model, model.categories, set())
+    yield from _check_channels(model.channels, set())
+    yield from _check_unique_ids(model.nodes, "/tree", set())
     yield from _validate_tree(model)
-    yield from _validate_tables(model)
-    yield from _validate_parameter_kinds(model)
+    yield from _check_table_names(model.tables)
+    for table in model.tables:
+        yield from _check_table(model, table)
+    owners = {c.id: c for c in model.categories if c.own_parameters}
+    yield from _validate_parameter_kinds(model, model.tables, owners)
+
+
+def _merge_findings(base: TaxonomyModel, merged: TaxonomyModel) -> Iterator[Diagnostic]:
+    """The findings of validate_model(merged), in some order, for a merged
+    model built from a clean base as merge_extension builds it: the base's
+    traits, categories and channels come first and keep their ids, none
+    appended with a base id; its tree is the base's; each base table is
+    kept (the same object) or replaced at its index, and new tables are
+    appended. So only what a merge adds can give a finding:
+    - the appended records and their ids; the tree and the kept tables
+      reference only base ids, which still resolve as they did;
+    - the replaced and appended tables, and the table names;
+    - the parameter kinds of the traits those tables mark and of the
+      owners with a row there. An owner's marks in a kept table are base
+      marks, whose clashes the clean base rules out, so its marks in the
+      changed tables are all that need checking."""
+    n_traits, n_categories, n_channels = len(base.traits), len(base.categories), len(base.channels)
+    yield from _check_traits(merged.traits[n_traits:], set(base._trait_by_id))
+    new_categories = merged.categories[n_categories:]
+    yield from _check_categories(merged, new_categories, set(base._category_by_id))
+    yield from _check_channels(merged.channels[n_channels:], set(base._channel_by_id))
+    kept = base.tables
+    changed = [table for i, table in enumerate(merged.tables)
+               if i >= len(kept) or table is not kept[i]]
+    yield from _check_table_names(merged.tables)
+    for table in changed:
+        yield from _check_table(merged, table)
+    # The last definition with own parameters is the owner, as _findings takes it.
+    new_owners = {c.id: c for c in new_categories if c.own_parameters}
+    with_rows = {row.category_id for table in changed for row in table.rows}
+    owners = {}
+    for category_id in with_rows:
+        owner = new_owners.get(category_id) or base._category_by_id.get(category_id)
+        if owner is not None and owner.own_parameters:
+            owners[category_id] = owner
+    yield from _validate_parameter_kinds(merged, changed, owners)
 
 
 def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
@@ -499,8 +588,10 @@ def validate_model(model: TaxonomyModel) -> list[Diagnostic]:
 
     Validation is total: it collects all findings instead of stopping at
     the first one, and the result is insensitive to list order in the model.
+    The sorted findings are computed once per model and kept on it; each
+    call returns a new list of them.
     """
-    return sorted(_findings(model))
+    return list(model._diagnostics)
 
 
 # ---------------------------------------------------------------------------

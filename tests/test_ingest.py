@@ -924,17 +924,32 @@ def test_wrong_kind_subtrait_parameter_is_reported_at_its_full_path():
 
 
 def test_validate_model_runs_once_per_parse_and_per_merge(monkeypatch):
-    calls = []
+    """A parse validates its model whole once. A merge asks validate_model
+    for its base's result, which a parsed base keeps, and then checks only
+    what the extension adds: it validates no model whole."""
+    calls, whole = [], []
 
     def spy(model, _validate=ingest.validate_model):
         calls.append(model)
         return _validate(model)
 
+    def findings(model, _findings=M._findings):
+        whole.append(model)
+        return _findings(model)
+
     monkeypatch.setattr(ingest, "validate_model", spy)
+    monkeypatch.setattr(M, "_findings", findings)
     model, _ = ingest.parse_document_dict(SMALL)
-    assert calls == [model]
-    merged = ingest.merge_extension(SMALL_MODEL, {"traits": [{"id": "new", "name": "New"}]})
-    assert calls == [model, merged]
+    assert calls == whole == [model]
+    calls.clear(), whole.clear()
+    merged = ingest.merge_extension(model, {"traits": [{"id": "new", "name": "New"}]})
+    assert len(calls) == 1 and calls[0] is model and whole == []
+    # A base built in code is validated whole once, and the merged model is not.
+    calls.clear()
+    built = model._replace()
+    ingest.merge_extension(built, {"traits": [{"id": "new", "name": "New"}]})
+    assert len(calls) == len(whole) == 1 and calls[0] is whole[0] is built
+    assert merged.traits[-1].id == "new"
 
 
 def test_deep_tree_serializes_without_recursion_limit():
@@ -1028,7 +1043,7 @@ def test_paused_call_leaves_the_collector_as_it_found_it(
     # The collector's state inside the call, as each bulk step sees it.
     inside = []
     for module, attr in (
-        (ingest, "validate_model"), (ingest, "_put_records"), (enumeration, "_checkmarks"),
+        (ingest, "validate_model"), (ingest, "_put_records"), (enumeration, "_rows"),
     ):
         def spy(*args, _step=getattr(module, attr)):
             inside.append(gc.isenabled())

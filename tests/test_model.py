@@ -544,7 +544,8 @@ def clashing_model(rng: random.Random, n_categories: int) -> TaxonomyModel:
 def test_parameter_kind_findings_equal_the_per_category_mark_sets(seed):
     m = clashing_model(random.Random(seed), n_categories=40 * (seed + 1))
     expected = sorted(_kind_findings_from_all_marks(m))
-    assert sorted(_validate_parameter_kinds(m)) == expected
+    owners = {c.id: c for c in m.categories if c.own_parameters}
+    assert sorted(_validate_parameter_kinds(m, m.tables, owners)) == expected
     # The old body's own order followed set iteration; validate_model's is pinned.
     reported = [f for f in triples(validate_model(m)) if " here but " in f[2]]
     assert reported == expected
@@ -659,3 +660,17 @@ def test_model_copies_with_replace_and_compares_field_wise():
 
     for other in (values, list(values), Subclass(*values), SimpleNamespace(**vars(model))):
         assert model != other and other != model
+
+
+def test_validate_model_keeps_its_result_and_returns_a_new_list():
+    bad = TaxonomyModel([TraitDef("t", "T"), TraitDef("t", "T")])
+    first = validate_model(bad)
+    assert [d.code for d in first] == ["E_DUP_ID"]
+    first.clear()
+    assert [d.code for d in validate_model(bad)] == ["E_DUP_ID"]
+    assert validate_model(bad) is not validate_model(bad)
+    # The kept result changes neither equality nor repr; a copy starts without it.
+    copy = bad._replace()
+    assert "_diagnostics" in vars(bad) and "_diagnostics" not in vars(copy)
+    assert copy == bad and repr(copy) == repr(bad)
+    assert validate_model(copy) == validate_model(bad)
