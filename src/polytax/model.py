@@ -19,7 +19,7 @@ import gc
 import math
 from contextlib import contextmanager
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 def _number(value: Any) -> bool:
@@ -331,7 +331,7 @@ def _check_unique_ids(items, path_prefix: str, seen: set) -> Iterator[Diagnostic
         seen.add(item.id)
 
 
-def _check_traits(traits: Iterable[TraitDef], seen: set) -> Iterator[Diagnostic]:
+def _check_traits(traits: Sequence[TraitDef], seen: set) -> Iterator[Diagnostic]:
     yield from _check_unique_ids(traits, "/traits", seen)
     for trait in traits:
         if trait.parameters:
@@ -345,7 +345,7 @@ def _check_traits(traits: Iterable[TraitDef], seen: set) -> Iterator[Diagnostic]
 
 
 def _check_categories(
-    model: TaxonomyModel, categories: Iterable[PolicyCategory], seen: set
+    model: TaxonomyModel, categories: Sequence[PolicyCategory], seen: set
 ) -> Iterator[Diagnostic]:
     yield from _check_unique_ids(categories, "/categories", seen)
     channels = model._channel_by_id
@@ -360,7 +360,7 @@ def _check_categories(
             yield Diagnostic("E_UNKNOWN_CHANNEL", f"/categories/{category.id}", message)
 
 
-def _check_channels(channels: Iterable[TransactionChannel], seen: set) -> Iterator[Diagnostic]:
+def _check_channels(channels: Sequence[TransactionChannel], seen: set) -> Iterator[Diagnostic]:
     yield from _check_unique_ids(channels, "/channels", seen)
     for channel in channels:
         if channel.authority not in AUTHORITIES:
