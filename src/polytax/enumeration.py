@@ -5,9 +5,10 @@ category's marks over all tables are TaxonomyModel.implementable_trait_ids.
 Order is deterministic: table order, then row order, then trait-column
 order, and subtrait expansion follows subtrait definition order. Listing
 and counting read one walk, so a filtered count is the length of the list.
-The walk yields one item per table row, with the (trait, subtrait) pairs
-of its checkmarks; each trait's pairs are resolved once per call, and a
-count adds a row's number of pairs. enumerate_schemas pauses the cyclic
+The walk yields one item per table row, with the set of its marks and
+its table's columns; each trait's (trait, subtrait) pairs are resolved
+once per call, and a count by table or category adds the schemas of a
+row's marks without building them. enumerate_schemas pauses the cyclic
 garbage collector while it builds the list, as ingest's bulk builders do;
 the pause is process-wide.
 """
@@ -55,12 +56,15 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
 
 def _rows(
     model: TaxonomyModel, flt: Optional[EnumerationFilter], expand_subtraits: bool
-) -> Iterator[tuple[str, str, list[tuple[str, Optional[str]]]]]:
-    """Resolve the filter, then yield (table name, category id, pairs) for
-    each row that survives it, in document order. pairs holds a (trait id,
-    subtrait id or None) pair per schema of the row's checkmarks, in column
-    order; with expand_subtraits, one per subtrait of the trait. Each
-    trait's pairs are built once per call, from its last definition."""
+) -> Iterator[tuple[str, str, set[str], list[tuple[str, tuple]], Counter[str]]]:
+    """Resolve the filter, then yield (table name, category id, marks,
+    columns, weights) for each row that survives it, in document order.
+    marks is the set of the row's marks. columns and weights are built
+    once per table: columns holds, for each surviving column in order, its
+    trait id and the (trait id, subtrait id or None) pair of each schema a
+    checkmark there gives (with expand_subtraits, one per subtrait of the
+    trait's last definition); weights holds each trait id's number of
+    schemas over those columns, a repeated column counting each time."""
     flt = flt or EnumerationFilter()
     _resolve_filter(model, flt)
     prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
@@ -74,6 +78,9 @@ def _rows(
         columns = [(trait_id, expansions.get(trait_id) or ((trait_id, None),))
                    for trait_id in table.trait_columns
                    if flt.trait_id is None or trait_id == flt.trait_id]
+        weights: Counter[str] = Counter()
+        for trait_id, pairs in columns:
+            weights[trait_id] += len(pairs)
         for row in table.rows:
             category = categories.get(row.category_id)
             if category is None:
@@ -82,11 +89,7 @@ def _rows(
                 continue
             if prefix is not None and category.group_path[: len(prefix)] != prefix:
                 continue
-            marks = set(row.marks)
-            pairs = [pair for trait_id, expansion in columns if trait_id in marks
-                     for pair in expansion]
-            if pairs:
-                yield table.name, row.category_id, pairs
+            yield table.name, row.category_id, set(row.marks), columns, weights
 
 
 @_collection_paused()
@@ -104,7 +107,8 @@ def enumerate_schemas(
     # runs per schema: a third of an expanded enumeration's time.
     new = tuple.__new__
     return [new(AtomicPolicySchema, (category, trait, sub))
-            for _, category, pairs in _rows(model, flt, expand_subtraits)
+            for _, category, marks, columns, _ in _rows(model, flt, expand_subtraits)
+            for trait_id, pairs in columns if trait_id in marks
             for trait, sub in pairs]
 
 
@@ -119,12 +123,17 @@ def count_checkmarks(
     if by not in ("table", "category", "trait"):
         raise PolicyError("E_BAD_FILTER", f"cannot group by {by!r}")
     rows = _rows(model, flt, expand_subtraits)
-    if by == "trait":
-        return Counter(trait for _, _, pairs in rows for trait, _ in pairs)
+    if by == "trait":  # in column order, as enumerate_schemas lists them
+        return Counter(trait for _, _, marks, columns, _ in rows
+                       for trait_id, pairs in columns if trait_id in marks
+                       for trait, _ in pairs)
     key = 0 if by == "table" else 1
     counts: Counter[str] = Counter()
     for row in rows:
-        counts[row[key]] += len(row[2])
+        marks, weights = row[2], row[4]
+        schemas = sum([weights[mark] for mark in marks if mark in weights])
+        if schemas:
+            counts[row[key]] += schemas
     return counts
 
 
