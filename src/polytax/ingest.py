@@ -48,7 +48,7 @@ from .model import (
     TraitDef,
     TransactionChannel,
     _collection_paused,
-    _merge_findings,
+    _findings,
     iter_tree,
     table_marks,
     validate_model,
@@ -570,11 +570,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     Redefining an existing id with different content raises IngestError
     with E_CONFLICT; identical redefinitions are no-ops. An unknown top-level
     key raises E_SCHEMA at /{key}, as in parsing; schema_version, meta and
-    tree are ignored. The merged model must be clean: into a base that
-    validate_model finds clean, only the appended records, the changed and
-    new tables and the parameter kinds they bring in are checked, with the
-    findings a whole validation of the merged model would give; into any
-    other base, the merged model is validated whole.
+    tree are ignored. The merged model must be clean, or IngestError lists
+    its findings; into a base that validate_model finds clean, only what
+    the extension adds is checked (model._findings started from the base).
     """
     if not isinstance(extension, dict):
         raise IngestError([Diagnostic("E_SCHEMA", "/", "extension must be a JSON object")])
@@ -612,29 +610,25 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
 
     conflicts: list[Diagnostic] = []
 
-    def extend(existing, incoming, key):
-        current = {item.id: item for item in existing}
+    def extend(key, current, incoming):
         for item in incoming:
             if current.get(item.id, item) != item:
                 message = f"{item.id!r} is already defined with different content"
                 conflicts.append(Diagnostic("E_CONFLICT", f"/{key}/{item.id}", message))
-        return existing + tuple(item for item in incoming if item.id not in current)
+        return getattr(base, key) + tuple(item for item in incoming if item.id not in current)
 
     merged = base._replace(
-        traits=extend(base.traits, new_traits, "traits"),
-        categories=extend(base.categories, new_categories, "categories"),
-        channels=extend(base.channels, new_channels, "channels"),
+        traits=extend("traits", base._trait_by_id, new_traits),
+        categories=extend("categories", base._category_by_id, new_categories),
+        channels=extend("channels", base._channel_by_id, new_channels),
         tables=tuple(tables),
         metadata=dict(base.metadata),
     )
     if conflicts:
         raise IngestError(sorted(conflicts))
     # A merge only appends, so into a clean base only what it appends can
-    # give a finding; otherwise the merged model is validated whole.
-    if validate_model(base):
-        problems = validate_model(merged)
-    else:
-        problems = sorted(_merge_findings(base, merged))
+    # give a finding; into a base with findings the merged model is checked whole.
+    problems = sorted(_findings(merged, None if validate_model(base) else base))
     if problems:
         raise IngestError(problems)
     return merged

@@ -10,8 +10,8 @@ it returns diagnostics. A Diagnostic is a code, a JSON path and a message;
 every diagnostic is an error, and lists of them sort by those three fields.
 A model's sorted diagnostics are computed on the first validate_model call
 and kept on it, as the trait-set view is; a _replace copy starts without
-them. A merge into a clean base checks only what it appended
-(_merge_findings), with the findings a whole validation would give.
+them. One routine, _findings, checks a whole model, or only what a merge
+appended to a clean base, with the findings a whole validation would give.
 """
 from __future__ import annotations
 
@@ -323,31 +323,32 @@ def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Di
         seen.add(p.name)
 
 
-def _check_unique_ids(items, path_prefix: str, seen: set) -> Iterator[Diagnostic]:
-    """E_DUP_ID for each item whose id is in seen or repeats an earlier one's."""
+def _check_unique_ids(items, path_prefix: str) -> Iterator[Diagnostic]:
+    """E_DUP_ID for each item whose id repeats an earlier one's."""
+    seen = set()
     for item in items:
         if item.id in seen:
             yield Diagnostic("E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}")
         seen.add(item.id)
 
 
-def _check_traits(traits: Sequence[TraitDef], seen: set) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(traits, "/traits", seen)
+def _check_traits(traits: Sequence[TraitDef]) -> Iterator[Diagnostic]:
+    yield from _check_unique_ids(traits, "/traits")
     for trait in traits:
         if trait.parameters:
             yield from _check_parameters(trait.parameters, f"/traits/{trait.id}")
         if trait.subtraits:
             path = f"/traits/{trait.id}/subtraits"
-            yield from _check_unique_ids(trait.subtraits, path, set())
+            yield from _check_unique_ids(trait.subtraits, path)
             for sub in trait.subtraits:
                 if sub.parameters:
                     yield from _check_parameters(sub.parameters, f"{path}/{sub.id}")
 
 
 def _check_categories(
-    model: TaxonomyModel, categories: Sequence[PolicyCategory], seen: set
+    model: TaxonomyModel, categories: Sequence[PolicyCategory]
 ) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(categories, "/categories", seen)
+    yield from _check_unique_ids(categories, "/categories")
     channels = model._channel_by_id
     for category in categories:
         if category.own_parameters:
@@ -360,8 +361,8 @@ def _check_categories(
             yield Diagnostic("E_UNKNOWN_CHANNEL", f"/categories/{category.id}", message)
 
 
-def _check_channels(channels: Sequence[TransactionChannel], seen: set) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(channels, "/channels", seen)
+def _check_channels(channels: Sequence[TransactionChannel]) -> Iterator[Diagnostic]:
+    yield from _check_unique_ids(channels, "/channels")
     for channel in channels:
         if channel.authority not in AUTHORITIES:
             message = f"unknown authority {channel.authority!r}"
@@ -501,15 +502,16 @@ def _kind_clashes(
 
 
 def _validate_parameter_kinds(
-    model: TaxonomyModel, tables: Iterable[CheckTable], owners: dict[str, PolicyCategory]
+    model: TaxonomyModel, tables: Iterable[CheckTable]
 ) -> Iterator[Diagnostic]:
     """A name that a category, a trait marked for it or one of that trait's
     subtraits declare with different kinds can bind no value; the later
     declaration is flagged. Checks each trait marked in the tables, and
-    each of the owners (categories with own parameters, by id) over its
-    marks there. Reads the table marks, not the trait-set view, in one walk
-    that builds a set only for the owners: a set per category cost most of
-    a 10,000-category check."""
+    each owner (a category with own parameters, its last such definition)
+    over its marks there. Reads the table marks, not the trait-set view, in
+    one walk that builds a set only for the owners: a set per category cost
+    most of a 10,000-category check."""
+    owners = {c.id: c for c in model.categories if c.own_parameters}
     marked: set[str] = set()
     owned_marks: dict[str, set[str]] = {}
     for table in tables:
@@ -534,53 +536,31 @@ def _validate_parameter_kinds(
                 yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
 
 
-def _findings(model: TaxonomyModel) -> Iterator[Diagnostic]:
-    yield from _check_traits(model.traits, set())
-    yield from _check_categories(model, model.categories, set())
-    yield from _check_channels(model.channels, set())
-    yield from _check_unique_ids(model.nodes, "/tree", set())
-    yield from _validate_tree(model)
+def _findings(model: TaxonomyModel, base: Optional[TaxonomyModel] = None) -> Iterator[Diagnostic]:
+    """The findings of validate_model(model), in some order. With no base,
+    the whole model is checked. Given a clean base that the model extends
+    as merge_extension builds it, only what the model adds is checked: the
+    base's traits, categories and channels come first, and a merge drops
+    each incoming record with a base id; the tree is the base's; each base
+    table is kept (the same object) or replaced at its index, and new
+    tables are appended.
+    The tree and the kept tables reference only base ids, which resolve as
+    they did, and an owner's marks in a kept table are base marks, whose
+    clashes the clean base rules out."""
+    start = TaxonomyModel() if base is None else base
+    kept = start.tables
+    tables = [table for i, table in enumerate(model.tables)
+              if i >= len(kept) or table is not kept[i]]
+    yield from _check_traits(model.traits[len(start.traits):])
+    yield from _check_categories(model, model.categories[len(start.categories):])
+    yield from _check_channels(model.channels[len(start.channels):])
+    if base is None:
+        yield from _check_unique_ids(model.nodes, "/tree")
+        yield from _validate_tree(model)
     yield from _check_table_names(model.tables)
-    for table in model.tables:
+    for table in tables:
         yield from _check_table(model, table)
-    owners = {c.id: c for c in model.categories if c.own_parameters}
-    yield from _validate_parameter_kinds(model, model.tables, owners)
-
-
-def _merge_findings(base: TaxonomyModel, merged: TaxonomyModel) -> Iterator[Diagnostic]:
-    """The findings of validate_model(merged), in some order, for a merged
-    model built from a clean base as merge_extension builds it: the base's
-    traits, categories and channels come first and keep their ids, none
-    appended with a base id; its tree is the base's; each base table is
-    kept (the same object) or replaced at its index, and new tables are
-    appended. So only what a merge adds can give a finding:
-    - the appended records and their ids; the tree and the kept tables
-      reference only base ids, which still resolve as they did;
-    - the replaced and appended tables, and the table names;
-    - the parameter kinds of the traits those tables mark and of the
-      owners with a row there. An owner's marks in a kept table are base
-      marks, whose clashes the clean base rules out, so its marks in the
-      changed tables are all that need checking."""
-    n_traits, n_categories, n_channels = len(base.traits), len(base.categories), len(base.channels)
-    yield from _check_traits(merged.traits[n_traits:], set(base._trait_by_id))
-    new_categories = merged.categories[n_categories:]
-    yield from _check_categories(merged, new_categories, set(base._category_by_id))
-    yield from _check_channels(merged.channels[n_channels:], set(base._channel_by_id))
-    kept = base.tables
-    changed = [table for i, table in enumerate(merged.tables)
-               if i >= len(kept) or table is not kept[i]]
-    yield from _check_table_names(merged.tables)
-    for table in changed:
-        yield from _check_table(merged, table)
-    # The last definition with own parameters is the owner, as _findings takes it.
-    new_owners = {c.id: c for c in new_categories if c.own_parameters}
-    with_rows = {row.category_id for table in changed for row in table.rows}
-    owners = {}
-    for category_id in with_rows:
-        owner = new_owners.get(category_id) or base._category_by_id.get(category_id)
-        if owner is not None and owner.own_parameters:
-            owners[category_id] = owner
-    yield from _validate_parameter_kinds(merged, changed, owners)
+    yield from _validate_parameter_kinds(model, tables)
 
 
 def validate_model(model: TaxonomyModel) -> list[Diagnostic]:

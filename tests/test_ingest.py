@@ -836,16 +836,28 @@ def merge_outcomes(base, seed, count):
 PINNED_MERGE_SHA256 = "23ec0b2c468a787e35588e93efdf4aa693f83c19395d61b3cd11c09b8f5e7925"
 
 
-def test_merge_outcomes_are_pinned(model):
+def test_merge_outcomes_are_pinned(model, monkeypatch):
     findings = substitute(SMALL, ("categories", 1, "group_path"), ["Elsewhere"])
     findings = substitute(findings, ("traits", 1, "parameters"), [{"name": "f", "kind": "rate"}])
     findings_model, diags = ingest.parse_document_dict(findings)
     assert [d.code for d in diags] == ["E_BAD_GROUP_PATH", "E_DUP_PARAM"]
+    # Each merge into a clean base that reaches validation checks only what
+    # it adds; that check must give the whole merged model's findings.
+    started = []
+
+    def oracle(merged, base=None, _findings=M._findings):
+        if base is not None:
+            started.append(base)
+            assert sorted(_findings(merged, base)) == sorted(_findings(merged))
+        return _findings(merged, base)
+
+    monkeypatch.setattr(ingest, "_findings", oracle)
     digest = hashlib.sha256()
     for seed, base, count in ((1, SMALL_MODEL, 600), (2, model, 300), (3, findings_model, 100)):
         for outcome in merge_outcomes(base, seed, count):
             digest.update(outcome.encode("utf-8") + b"\n")
     assert digest.hexdigest() == PINNED_MERGE_SHA256
+    assert len(started) == 835 and not any(b is findings_model for b in started)
 
 
 def test_subclass_containers_parse_as_their_plain_values():
@@ -926,30 +938,61 @@ def test_wrong_kind_subtrait_parameter_is_reported_at_its_full_path():
 def test_validate_model_runs_once_per_parse_and_per_merge(monkeypatch):
     """A parse validates its model whole once. A merge asks validate_model
     for its base's result, which a parsed base keeps, and then checks only
-    what the extension adds: it validates no model whole."""
-    calls, whole = [], []
+    what the extension adds, with one _findings call started from the base:
+    it validates no model whole."""
+    calls, whole, started = [], [], []
 
     def spy(model, _validate=ingest.validate_model):
         calls.append(model)
         return _validate(model)
 
-    def findings(model, _findings=M._findings):
-        whole.append(model)
-        return _findings(model)
+    def findings(model, base=None, _findings=M._findings):
+        if base is None:
+            whole.append(model)
+        else:
+            started.append((model, base))
+        return _findings(model, base)
 
     monkeypatch.setattr(ingest, "validate_model", spy)
+    # model's validate_model and merge_extension each call _findings by
+    # their own module's name.
     monkeypatch.setattr(M, "_findings", findings)
+    monkeypatch.setattr(ingest, "_findings", findings)
     model, _ = ingest.parse_document_dict(SMALL)
-    assert calls == whole == [model]
+    assert calls == whole == [model] and started == []
     calls.clear(), whole.clear()
     merged = ingest.merge_extension(model, {"traits": [{"id": "new", "name": "New"}]})
     assert len(calls) == 1 and calls[0] is model and whole == []
+    assert len(started) == 1 and started[0][0] is merged and started[0][1] is model
     # A base built in code is validated whole once, and the merged model is not.
-    calls.clear()
+    calls.clear(), started.clear()
     built = model._replace()
-    ingest.merge_extension(built, {"traits": [{"id": "new", "name": "New"}]})
+    again = ingest.merge_extension(built, {"traits": [{"id": "new", "name": "New"}]})
     assert len(calls) == len(whole) == 1 and calls[0] is whole[0] is built
+    assert len(started) == 1 and started[0][0] is again and started[0][1] is built
     assert merged.traits[-1].id == "new"
+
+
+def test_merge_repairs_a_base_with_findings(model, monkeypatch):
+    """A merge into a base with findings checks the merged model whole, so
+    an extension that defines what the base lacks gives a clean model."""
+    doc = model_to_document(model)
+    doc["tables"][0]["rows"].append({"category": "ghost", "marks": []})
+    base, diags = ingest.parse_document_dict(doc)
+    assert [d.code for d in diags] == ["E_UNKNOWN_CATEGORY"]
+    bases = []
+
+    def findings(merged, base=None, _findings=M._findings):
+        bases.append(base)
+        return _findings(merged, base)
+
+    monkeypatch.setattr(ingest, "_findings", findings)
+    ghost = {"id": "ghost", "name": "Ghost", "group_path": ["Economic Policy"]}
+    merged = ingest.merge_extension(base, {"categories": [ghost]})
+    assert bases == [None]
+    assert M.validate_model(merged) == []
+    assert len(merged.categories) == len(model.categories) + 1 == 98
+    assert merged.categories[-1].id == "ghost"
 
 
 def test_deep_tree_serializes_without_recursion_limit():

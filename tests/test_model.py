@@ -544,8 +544,7 @@ def clashing_model(rng: random.Random, n_categories: int) -> TaxonomyModel:
 def test_parameter_kind_findings_equal_the_per_category_mark_sets(seed):
     m = clashing_model(random.Random(seed), n_categories=40 * (seed + 1))
     expected = sorted(_kind_findings_from_all_marks(m))
-    owners = {c.id: c for c in m.categories if c.own_parameters}
-    assert sorted(_validate_parameter_kinds(m, m.tables, owners)) == expected
+    assert sorted(_validate_parameter_kinds(m, m.tables)) == expected
     # The old body's own order followed set iteration; validate_model's is pinned.
     reported = [f for f in triples(validate_model(m)) if " here but " in f[2]]
     assert reported == expected
