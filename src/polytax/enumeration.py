@@ -1,16 +1,15 @@
 """Enumerate atomic-policy schemas from checkmark tables and query the tree.
 
-Every checkmark is one implementable (category, trait) pair, and a
-category's marks over all tables are TaxonomyModel.implementable_trait_ids.
-Order is deterministic: table order, then row order, then trait-column
-order, and subtrait expansion follows subtrait definition order. Listing
-and counting read one walk, so a filtered count is the length of the list.
-The walk yields one item per table row, with the set of its marks and
-its table's columns; each trait's (trait, subtrait) pairs are resolved
-once per call, and a count by table or category adds the schemas of a
-row's marks without building them. enumerate_schemas pauses the cyclic
-garbage collector while it builds the list, as ingest's bulk builders do;
-the pause is process-wide.
+Every checkmark is one implementable (category, trait) pair. Order is
+deterministic: table order, then row order, then trait-column order, and
+subtrait expansion follows subtrait definition order. Listing and counting
+read one walk, so a filtered count is the length of the list. The walk
+yields one item per table row, with the set of its marks and its table's
+columns; each trait's (trait, subtrait) pairs are resolved once per call,
+and a count by table or category sums a row's schema weights without a
+list. lookup compares names in place and allocates only its matches.
+enumerate_schemas pauses the cyclic garbage collector while it builds the
+list, as ingest's bulk builders do; the pause is process-wide.
 """
 from __future__ import annotations
 
@@ -40,18 +39,14 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
         raise PolicyError("E_BAD_FILTER", f"unknown table {flt.table!r}")
     if flt.trait_id is not None and model.trait(flt.trait_id) is None:
         raise PolicyError("E_BAD_FILTER", f"unknown trait {flt.trait_id!r}")
-    if flt.cross_tag is not None:
-        tags = set().union(*(c.cross_tags for c in model.categories))
-        if flt.cross_tag not in tags:
-            raise PolicyError("E_BAD_FILTER", f"unknown cross tag {flt.cross_tag!r}")
+    categories = model.categories
+    if flt.cross_tag is not None and not any(flt.cross_tag in c.cross_tags for c in categories):
+        raise PolicyError("E_BAD_FILTER", f"unknown cross tag {flt.cross_tag!r}")
     if flt.group_prefix is not None:
-        prefixes = {
-            c.group_path[: len(flt.group_prefix)] for c in model.categories
-        }
-        if tuple(flt.group_prefix) not in prefixes:
-            raise PolicyError(
-                "E_BAD_FILTER", f"no category under group prefix {flt.group_prefix!r}"
-            )
+        prefix = tuple(flt.group_prefix)
+        if not any(c.group_path[: len(prefix)] == prefix for c in categories):
+            message = f"no category under group prefix {flt.group_prefix!r}"
+            raise PolicyError("E_BAD_FILTER", message)
 
 
 def _rows(
@@ -131,7 +126,7 @@ def count_checkmarks(
     counts: Counter[str] = Counter()
     for row in rows:
         marks, weights = row[2], row[4]
-        schemas = sum([weights[mark] for mark in marks if mark in weights])
+        schemas = sum(map(weights.__getitem__, marks))  # a Counter: 0 off the columns
         if schemas:
             counts[row[key]] += schemas
     return counts
@@ -145,31 +140,25 @@ def lookup(
     Exact-id match wins; then case-insensitive exact name; then
     case-insensitive name prefix. Several matches raise E_AMBIGUOUS.
     """
-    category = model.category(name_or_id)
+    category = model._category_by_id.get(name_or_id)
     if category is not None:
         return category
-    node = model.node(name_or_id)
+    node = model._node_by_id.get(name_or_id)
     if node is not None:
         return node
 
+    # Exact names, then name prefixes: each pass compares the categories'
+    # names, then the group nodes' labels (nodes without a category_ref), in place.
     needle = name_or_id.strip().lower()
-    named: list[tuple[str, Union[PolicyCategory, TaxonomyNode]]] = [
-        (c.name, c) for c in model.categories
-    ] + [(n.label, n) for n in model.nodes if n.category_ref is None]
-
-    exact = [item for name, item in named if name.lower() == needle]
-    if len(exact) == 1:
-        return exact[0]
-    if len(exact) > 1:
-        raise PolicyError("E_AMBIGUOUS", f"{name_or_id!r} names several elements")
-
-    prefixed = [item for name, item in named if name.lower().startswith(needle)]
-    if len(prefixed) == 1:
-        return prefixed[0]
-    if len(prefixed) > 1:
-        raise PolicyError(
-            "E_AMBIGUOUS", f"{name_or_id!r} is a prefix of several names"
-        )
+    for matches, several in ((str.__eq__, "names several elements"),
+                             (str.startswith, "is a prefix of several names")):
+        found = [c for c in model.categories if matches(c.name.lower(), needle)]
+        found += [n for n in model.nodes
+                  if n.category_ref is None and matches(n.label.lower(), needle)]
+        if len(found) == 1:
+            return found[0]
+        if found:
+            raise PolicyError("E_AMBIGUOUS", f"{name_or_id!r} {several}")
     raise PolicyError("E_NOT_FOUND", f"no category or node matches {name_or_id!r}")
 
 

@@ -31,8 +31,11 @@ class ExportArtifact(NamedTuple):
     text: str
 
 
+_NOT_SLUG = re.compile(r"[^a-z0-9]+")
+
+
 def slugify(label: str) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
+    slug = _NOT_SLUG.sub("_", label.lower()).strip("_")
     return slug or "node"
 
 
@@ -254,14 +257,15 @@ def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifa
 
 
 def export_schema_list(schemas) -> ExportArtifact:
-    """One schema per line: category/trait[/subtrait]."""
-    lines = []
-    for schema in schemas:
-        parts = [schema.category_id, schema.trait_id]
-        if schema.subtrait_id is not None:
-            parts.append(schema.subtrait_id)
-        lines.append("/".join(parts))
-    return ExportArtifact("\n".join(lines) + ("\n" if lines else ""))
+    """One schema per line: category/trait[/subtrait], from one list of ids
+    and separators joined once; an id that is not a str raises TypeError."""
+    pieces = []
+    for category_id, trait_id, subtrait_id in schemas:
+        if subtrait_id is None:
+            pieces += (category_id, "/", trait_id, "\n")
+        else:
+            pieces += (category_id, "/", trait_id, "/", subtrait_id, "\n")
+    return ExportArtifact("".join(pieces))
 
 
 __all__ = [

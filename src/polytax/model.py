@@ -2,16 +2,17 @@
 
 The model is a set of trait definitions, policy categories, transaction
 channels, checkmark tables and a taxonomy tree. The tables alone say which
-traits a category implements; TaxonomyModel.implementable_trait_ids reads
-their marks, through a view built on first use. The value types are
-immutable named tuples; TaxonomyModel indexes them, is treated as
-immutable and copies as they do, with _replace. Validation never raises;
-it returns diagnostics. A Diagnostic is a code, a JSON path and a message;
-every diagnostic is an error, and lists of them sort by those three fields.
-A model's sorted diagnostics are computed on the first validate_model call
-and kept on it, as the trait-set view is; a _replace copy starts without
-them. One routine, _findings, checks a whole model, or only what a merge
-appended to a clean base, with the findings a whole validation would give.
+traits a category implements; table_marks, the one trait-set builder,
+builds the view TaxonomyModel.implementable_trait_ids reads on first use.
+The value types are immutable named tuples; TaxonomyModel indexes them by
+id, is treated as immutable and copies as they do, with _replace.
+Validation never raises; it returns diagnostics. A Diagnostic is a code, a
+JSON path and a message; every diagnostic is an error, and lists of them
+sort by those three fields. A model's sorted diagnostics are computed on
+the first validate_model call and kept on it, as the trait-set view is; a
+_replace copy starts without them. One routine, _findings, checks a whole
+model, or only what a merge appended to a clean base, with the findings a
+whole validation would give.
 """
 from __future__ import annotations
 
@@ -220,9 +221,6 @@ class TaxonomyModel:
     def node(self, node_id: str) -> Optional[TaxonomyNode]:
         return self._node_by_id.get(node_id)
 
-    def channel(self, channel_id: str) -> Optional[TransactionChannel]:
-        return self._channel_by_id.get(channel_id)
-
     def table(self, name: str) -> Optional[CheckTable]:
         return self._table_by_name.get(name)
 
@@ -230,7 +228,7 @@ class TaxonomyModel:
     def _marks_by_category(self) -> dict[str, frozenset[str]]:
         # Built on first use: parsing, validation, merge and serialization
         # never read it.
-        return {c: frozenset(marks) for c, marks in table_marks(self.tables).items()}
+        return table_marks(self.tables)
 
     @cached_property
     def _diagnostics(self) -> list[Diagnostic]:
@@ -257,6 +255,7 @@ def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
     root = model.tree
     if root is None:
         raise PolicyError("E_NOT_FOUND", "model has no taxonomy tree")
+    node_by_id = model._node_by_id.get
     seen = set()
     stack = [(root, 0)]
     while stack:
@@ -266,28 +265,19 @@ def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
             yield node, depth
             # A plain loop: chained generator expressions took twice as long.
             for child_id in reversed(node.children):
-                child = model.node(child_id)
+                child = node_by_id(child_id)
                 if child is not None:
                     stack.append((child, depth + 1))
-
-
-def table_marks(tables: Iterable[CheckTable]) -> dict[str, set[str]]:
-    """Each category's checkmarked trait ids, over the rows of all tables."""
-    marks: dict[str, set[str]] = {}
-    for table in tables:
-        for row in table.rows:
-            marks.setdefault(row.category_id, set()).update(row.marks)
-    return marks
 
 
 @contextmanager
 def _collection_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector switched off, then
     switch it back on; if it is already off, do nothing, so a nested pause
-    is a no-op. The bulk builders of ingest and enumeration run under it:
-    the records, lists and dicts they build hold no reference cycles, so a
-    collection during the build frees nothing, yet each full one traverses
-    every object alive.
+    is a no-op. The bulk builders of ingest and enumeration, and
+    table_marks, run under it: the records, lists, sets and dicts they
+    build hold no reference cycles, so a collection during the build frees
+    nothing, yet each full one traverses every object alive.
 
     The switch is process-wide. While a pause runs, no thread gets a
     cyclic collection, and a thread that disables the collector during
@@ -301,6 +291,18 @@ def _collection_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
+
+
+@_collection_paused()
+def table_marks(tables: Iterable[CheckTable]) -> dict[str, frozenset[str]]:
+    """Each category's checkmarked trait ids over the rows of all tables: a
+    frozenset per row, and a union only for a category with several rows."""
+    marks: dict[str, frozenset[str]] = {}
+    for table in tables:
+        for category_id, row_marks in table.rows:
+            have = marks.get(category_id)
+            marks[category_id] = frozenset(row_marks) if have is None else have.union(row_marks)
+    return marks
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ from polytax import model as M
 from polytax.enumeration import (
     EnumerationFilter,
     _resolve_filter,
+    _rows,
     count_checkmarks,
     enumerate_schemas,
     lookup,
 )
+from polytax.export import export_schema_list
 from polytax.model import PolicyError, iter_tree
 
 from .strategies import taxonomy_models
+from .test_ingest import SMALL, SMALL_MODEL, merge_outcomes, substitute
 
 
 def test_income_tax_table_has_37_schemas(model):
@@ -322,3 +325,184 @@ def test_lookup_miss(model):
     with pytest.raises(PolicyError) as exc:
         lookup(model, "Window Tax")
     assert exc.value.code == "E_NOT_FOUND"
+
+
+# ---------------------------------------------------------------------------
+# The rewritten queries against the code they replaced
+# ---------------------------------------------------------------------------
+
+def reference_lookup(model, name_or_id):
+    """lookup as it was: one (name, item) list of every category and group
+    node, scanned for an exact name, then for a prefix."""
+    category = model.category(name_or_id)
+    if category is not None:
+        return category
+    node = model.node(name_or_id)
+    if node is not None:
+        return node
+    needle = name_or_id.strip().lower()
+    named = [(c.name, c) for c in model.categories] + [
+        (n.label, n) for n in model.nodes if n.category_ref is None]
+    exact = [item for name, item in named if name.lower() == needle]
+    if len(exact) == 1:
+        return exact[0]
+    if len(exact) > 1:
+        raise PolicyError("E_AMBIGUOUS", f"{name_or_id!r} names several elements")
+    prefixed = [item for name, item in named if name.lower().startswith(needle)]
+    if len(prefixed) == 1:
+        return prefixed[0]
+    if len(prefixed) > 1:
+        raise PolicyError("E_AMBIGUOUS", f"{name_or_id!r} is a prefix of several names")
+    raise PolicyError("E_NOT_FOUND", f"no category or node matches {name_or_id!r}")
+
+
+def reference_schema_list(schemas):
+    """export_schema_list's text as it was: a "/".join per schema."""
+    lines = []
+    for schema in schemas:
+        parts = [schema.category_id, schema.trait_id]
+        if schema.subtrait_id is not None:
+            parts.append(schema.subtrait_id)
+        lines.append("/".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_table_marks(tables):
+    """A set per category over every row, then a frozenset copy of each."""
+    marks = {}
+    for table in tables:
+        for row in table.rows:
+            marks.setdefault(row.category_id, set()).update(row.marks)
+    return {c: frozenset(m) for c, m in marks.items()}
+
+
+def reference_counts(model, by, flt=None, expand_subtraits=False):
+    """count_checkmarks as it was: a list of a row's weights, summed."""
+    rows = _rows(model, flt, expand_subtraits)
+    if by == "trait":
+        return Counter(trait for _, _, marks, columns, _ in rows
+                       for trait_id, pairs in columns if trait_id in marks
+                       for trait, _ in pairs)
+    key = 0 if by == "table" else 1
+    counts = Counter()
+    for row in rows:
+        marks, weights = row[2], row[4]
+        schemas = sum([weights[mark] for mark in marks if mark in weights])
+        if schemas:
+            counts[row[key]] += schemas
+    return counts
+
+
+def reference_iter_tree(model):
+    """iter_tree as it was, resolving each child with model.node."""
+    root = model.tree
+    if root is None:
+        raise PolicyError("E_NOT_FOUND", "model has no taxonomy tree")
+    seen = set()
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.id not in seen:
+            seen.add(node.id)
+            yield node, depth
+            for child_id in reversed(node.children):
+                child = model.node(child_id)
+                if child is not None:
+                    stack.append((child, depth + 1))
+
+
+def outcome(query, *args):
+    """The value of query(*args), or the class and text of what it raises."""
+    try:
+        return "value", query(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raised", type(exc), str(exc)
+
+
+def assert_queries_match_the_references(model, names):
+    marks = reference_table_marks(model.tables)
+    built = M.table_marks(model.tables)
+    assert built == marks and {type(v) for v in built.values()} <= {frozenset}
+    assert model._marks_by_category == marks
+    for category in model.categories:
+        assert model.implementable_trait_ids(category.id) == marks.get(category.id, frozenset())
+    for expand in (False, True):
+        schemas = enumerate_schemas(model, expand_subtraits=expand)
+        assert export_schema_list(schemas).text == reference_schema_list(schemas)
+        for by in ("table", "category", "trait"):
+            counts = count_checkmarks(model, by, None, expand)
+            assert list(counts.items()) == list(reference_counts(model, by, None, expand).items())
+    assert outcome(lambda: list(iter_tree(model))) == outcome(
+        lambda: list(reference_iter_tree(model)))
+    for name in names:
+        new, old = outcome(lookup, model, name), outcome(reference_lookup, model, name)
+        assert new == old, name
+        assert new[0] == "raised" or new[1] is old[1], name
+
+
+def test_queries_match_the_references_on_the_bundled_dataset(model):
+    names = ["Carucage", "carucage", "CARUCAGE", "Caruc", "Tax", "repurchase agreement",
+             "Window Tax", "Auxiliary Policy", "auxiliary", "quantity-control", "carucage",
+             "  Forward Guidance ", "", "Economic Policy"]
+    cases = {name: outcome(lookup, model, name) for name in names}
+    assert cases["Carucage"][1].id == "carucage"  # exact name
+    assert cases["Caruc"][1].id == "carucage"  # prefix
+    assert cases["Tax"][1:] == (PolicyError, "E_AMBIGUOUS: 'Tax' is a prefix of several names")
+    assert cases["repurchase agreement"][2].endswith("names several elements")
+    assert cases["Window Tax"][2].startswith("E_NOT_FOUND")  # miss
+    assert cases["Auxiliary Policy"][1].kind == "group"  # group node
+    assert_queries_match_the_references(model, names)
+
+
+def merged_models(monkeypatch, model):
+    """The merged models of the seeded merges of test_merge_outcomes_are_pinned
+    that reach their check, whatever it finds."""
+    models = []
+
+    def keep(merged, base=None, _findings=M._findings):
+        models.append(merged)
+        return _findings(merged, base)
+
+    findings = substitute(SMALL, ("categories", 1, "group_path"), ["Elsewhere"])
+    findings = substitute(findings, ("traits", 1, "parameters"), [{"name": "f", "kind": "rate"}])
+    findings, diags = ingest.parse_document_dict(findings)
+    assert diags
+    monkeypatch.setattr(ingest, "_findings", keep)
+    for seed, base, count in ((1, SMALL_MODEL, 600), (2, model, 300), (3, findings, 100)):
+        for _ in merge_outcomes(base, seed, count):
+            pass
+    monkeypatch.undo()
+    return models
+
+
+def test_queries_match_the_references_on_merged_models(model, monkeypatch):
+    models = merged_models(monkeypatch, model)
+    # What the rewritten code must get right beyond a clean model: a
+    # category with rows in several tables, a row repeating a mark, and a
+    # row of an unknown category.
+    def in_several_tables(m):
+        tables = {}
+        for i, table in enumerate(m.tables):
+            for row in table.rows:
+                tables.setdefault(row.category_id, set()).add(i)
+        return any(len(found) > 1 for found in tables.values())
+
+    rows = [(m, row) for m in models for table in m.tables for row in table.rows]
+    assert any(map(in_several_tables, models))
+    assert any(len(set(row.marks)) < len(row.marks) for _, row in rows)
+    assert any(m.category(row.category_id) is None for m, row in rows)
+    for m in models:
+        names = [c.name for c in m.categories[-3:]] + [c.id for c in m.categories[-2:]]
+        names += [n.label for n in m.nodes if n.category_ref is None][-2:]
+        names += [name[:2] for name in names] + ["no such name"]
+        assert_queries_match_the_references(m, names)
+
+
+def test_schema_list_of_a_non_str_id_raises_type_error():
+    for schema in (M.AtomicPolicySchema(1, "t"), M.AtomicPolicySchema("c", 2),
+                   M.AtomicPolicySchema("c", "t", 3)):
+        for schemas in ([schema], [M.AtomicPolicySchema("a", "b", "c"), schema]):
+            with pytest.raises(TypeError):
+                reference_schema_list(schemas)
+            with pytest.raises(TypeError):
+                export_schema_list(schemas)
