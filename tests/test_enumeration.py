@@ -415,7 +415,7 @@ def outcome(query, *args):
     """The value of query(*args), or the class and text of what it raises."""
     try:
         return "value", query(*args)
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+    except Exception as exc:  # what it raises is the outcome
         return "raised", type(exc), str(exc)
 
 
@@ -442,7 +442,7 @@ def assert_queries_match_the_references(model, names):
 
 def test_queries_match_the_references_on_the_bundled_dataset(model):
     names = ["Carucage", "carucage", "CARUCAGE", "Caruc", "Tax", "repurchase agreement",
-             "Window Tax", "Auxiliary Policy", "auxiliary", "quantity-control", "carucage",
+             "Window Tax", "Auxiliary Policy", "auxiliary", "quantity-control",
              "  Forward Guidance ", "", "Economic Policy"]
     cases = {name: outcome(lookup, model, name) for name in names}
     assert cases["Carucage"][1].id == "carucage"  # exact name
