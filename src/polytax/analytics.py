@@ -29,22 +29,14 @@ class TraitMatrix(NamedTuple):
     cells: np.ndarray  # bool, shape (rows, cols)
 
 
-class CorrelationMatrix(NamedTuple):
+class SquareMatrix(NamedTuple):
     labels: tuple[str, ...]
     cells: np.ndarray  # float, shape (n, n); NaN = undefined
-
-
-class DistanceMatrix(NamedTuple):
-    labels: tuple[str, ...]
-    cells: np.ndarray  # float, shape (n, n)
 
 
 class MstResult(NamedTuple):
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
-
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
 
 
 def build_trait_matrix(model: TaxonomyModel, null_mode: str = "include") -> TraitMatrix:
@@ -91,7 +83,7 @@ def _cooccurrence(matrix: TraitMatrix, what: str) -> tuple[np.ndarray, np.ndarra
     return x @ x.T, x.sum(axis=1), x.shape[1]
 
 
-def pearson_correlation(matrix: TraitMatrix) -> CorrelationMatrix:
+def pearson_correlation(matrix: TraitMatrix) -> SquareMatrix:
     """Pairwise Pearson r over the 0/1 rows.
 
     r = (k*n11 - n1*n2) / sqrt(n1*(k - n1) * n2*(k - n2)). A cell is NaN
@@ -109,10 +101,10 @@ def pearson_correlation(matrix: TraitMatrix) -> CorrelationMatrix:
     np.sqrt(part, out=part)
     with np.errstate(divide="ignore", invalid="ignore"):
         cells /= part
-    return CorrelationMatrix(matrix.row_labels, cells)
+    return SquareMatrix(matrix.row_labels, cells)
 
 
-def euclidean_distance(matrix: TraitMatrix) -> DistanceMatrix:
+def euclidean_distance(matrix: TraitMatrix) -> SquareMatrix:
     """d(i, j) = sqrt(sum_k (x_ik - x_jk)^2) = sqrt(n1 + n2 - 2*n11) for 0/1 rows.
 
     Computed in place in the co-occurrence counts, with one n x n temporary.
@@ -121,14 +113,14 @@ def euclidean_distance(matrix: TraitMatrix) -> DistanceMatrix:
     cells *= 2
     np.subtract(np.add.outer(n1, n1), cells, out=cells)
     np.sqrt(cells, out=cells)
-    return DistanceMatrix(matrix.row_labels, cells)
+    return SquareMatrix(matrix.row_labels, cells)
 
 
 _NEVER = np.iinfo(np.int64).max  # above every weight key and tie key
 _NAN_KEY = int(np.float64(np.nan).view(np.int64))
 
 
-def kruskal_mst(dist: DistanceMatrix) -> MstResult:
+def kruskal_mst(dist: SquareMatrix) -> MstResult:
     """Minimum-spanning tree over a complete distance matrix.
 
     Returns the tree Kruskal's algorithm returns under the module's edge
@@ -219,8 +211,7 @@ __all__ = [
     "NULL_MODES",
     "NULL_POLICY_LABEL",
     "TraitMatrix",
-    "CorrelationMatrix",
-    "DistanceMatrix",
+    "SquareMatrix",
     "MstResult",
     "build_trait_matrix",
     "pearson_correlation",

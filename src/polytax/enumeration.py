@@ -35,9 +35,9 @@ class EnumerationFilter(NamedTuple):
 
 
 def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
-    if flt.table is not None and model.table(flt.table) is None:
+    if flt.table is not None and flt.table not in model._table_by_name:
         raise PolicyError("E_BAD_FILTER", f"unknown table {flt.table!r}")
-    if flt.trait_id is not None and model.trait(flt.trait_id) is None:
+    if flt.trait_id is not None and flt.trait_id not in model._trait_by_id:
         raise PolicyError("E_BAD_FILTER", f"unknown trait {flt.trait_id!r}")
     categories = model.categories
     if flt.cross_tag is not None and not any(flt.cross_tag in c.cross_tags for c in categories):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from .model import PolicyError, TaxonomyModel, iter_tree
 
 if TYPE_CHECKING:  # analytics imports numpy; the exporters only read its results
-    from .analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
+    from .analytics import MstResult, SquareMatrix, TraitMatrix
 
 
 class ExportArtifact(NamedTuple):
@@ -133,7 +133,7 @@ _BLOCK_ROWS = 16
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def export_matrix_csv(matrix: TraitMatrix | CorrelationMatrix | DistanceMatrix) -> ExportArtifact:
+def export_matrix_csv(matrix: TraitMatrix | SquareMatrix) -> ExportArtifact:
     """RFC-4180-style CSV: header row of column labels, label column first.
 
     Booleans become 0/1, floats the repr of their float64 value, and
@@ -236,18 +236,17 @@ def _md_cell(text: str) -> str:
 
 def export_table_markdown(model: TaxonomyModel, table_name: str) -> ExportArtifact:
     """Markdown pipe table mirroring one checkmark table, plus a tags column."""
-    table = model.table(table_name)
+    table = model._table_by_name.get(table_name)
     if table is None:
         raise PolicyError("E_NOT_FOUND", f"unknown table {table_name!r}")
-    trait_names = [
-        _md_cell(model.trait(t).name if model.trait(t) else t) for t in table.trait_columns
-    ]
+    traits = model._trait_by_id
+    trait_names = [_md_cell(traits[t].name if t in traits else t) for t in table.trait_columns]
     lines = [
         "| Category | " + " | ".join(trait_names) + " | tags |",
         "|" + " --- |" * (len(trait_names) + 2),
     ]
     for row in table.rows:
-        category = model.category(row.category_id)
+        category = model._category_by_id.get(row.category_id)
         name = category.name if category else row.category_id
         marks = set(row.marks)
         cells = ["x" if t in marks else "" for t in table.trait_columns]

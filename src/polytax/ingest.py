@@ -19,11 +19,11 @@ category can implement (TaxonomyModel.implementable_trait_ids); a
 category's inline implementable_trait_ids key is only checked against its
 table rows.
 
-parse_taxonomy_document, parse_document_dict, load_model_from_path,
-merge_extension and serialize_taxonomy_document pause the cyclic garbage
-collector (model._collection_paused) for the whole call, JSON decoding
-included: what they build holds no reference cycles, so a collection there
-frees nothing. The pause is process-wide; while it runs, no thread gets a
+parse_taxonomy_document, parse_document_dict, load_model_from_path and
+merge_extension pause the cyclic garbage collector
+(model._collection_paused) for the whole call, JSON decoding included:
+what they build holds no reference cycles, so a collection there frees
+nothing. The pause is process-wide; while it runs, no thread gets a
 cyclic collection.
 """
 from __future__ import annotations
@@ -536,7 +536,6 @@ def _put_tree(out: list, model: TaxonomyModel) -> None:
         previous = depth
 
 
-@_collection_paused()
 def serialize_taxonomy_document(model: TaxonomyModel) -> str:
     """Deterministic text such that parse(serialize(m)) == m, in the
     canonical document form: keys in field-table order, lists in document

@@ -114,12 +114,6 @@ class TraitDef(NamedTuple):
     subtraits: tuple[SubtraitDef, ...] = ()
     description: str = ""
 
-    def subtrait(self, subtrait_id: str) -> Optional[SubtraitDef]:
-        for sub in self.subtraits:
-            if sub.id == subtrait_id:
-                return sub
-        return None
-
 
 class PolicyCategory(NamedTuple):
     id: str
@@ -210,20 +204,6 @@ class TaxonomyModel:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
-    # -- lookups ---------------------------------------------------------
-
-    def trait(self, trait_id: str) -> Optional[TraitDef]:
-        return self._trait_by_id.get(trait_id)
-
-    def category(self, category_id: str) -> Optional[PolicyCategory]:
-        return self._category_by_id.get(category_id)
-
-    def node(self, node_id: str) -> Optional[TaxonomyNode]:
-        return self._node_by_id.get(node_id)
-
-    def table(self, name: str) -> Optional[CheckTable]:
-        return self._table_by_name.get(name)
-
     @cached_property
     def _marks_by_category(self) -> dict[str, frozenset[str]]:
         # Built on first use: parsing, validation, merge and serialization
@@ -274,8 +254,8 @@ def iter_tree(model: TaxonomyModel) -> Iterator[tuple[TaxonomyNode, int]]:
 def _collection_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector switched off, then
     switch it back on; if it is already off, do nothing, so a nested pause
-    is a no-op. The bulk builders of ingest and enumeration, and
-    table_marks, run under it: the records, lists, sets and dicts they
+    is a no-op. Parse and merge in ingest, enumerate_schemas and
+    table_marks run under it: the records, lists, sets and dicts they
     build hold no reference cycles, so a collection during the build frees
     nothing, yet each full one traverses every object alive.
 
@@ -594,10 +574,10 @@ def instantiate_atomic_policy(
     and E_BINDING on missing/extra/ill-typed parameters.
     """
     bindings = dict(bindings or {})
-    category = model.category(category_id)
+    category = model._category_by_id.get(category_id)
     if category is None:
         raise PolicyError("E_NOT_FOUND", f"unknown category {category_id!r}")
-    trait = model.trait(trait_id)
+    trait = model._trait_by_id.get(trait_id)
     if trait is None:
         raise PolicyError("E_NOT_FOUND", f"unknown trait {trait_id!r}")
     if trait_id not in model.implementable_trait_ids(category_id):
@@ -615,7 +595,7 @@ def instantiate_atomic_policy(
     if subtrait_id is not None:
         if not trait.subtraits:
             raise PolicyError("E_EXCLUSIVITY", f"trait {trait_id!r} has no subtraits")
-        sub = trait.subtrait(subtrait_id)
+        sub = next((s for s in trait.subtraits if s.id == subtrait_id), None)
         if sub is None:
             raise PolicyError(
                 "E_EXCLUSIVITY", f"{subtrait_id!r} is not a subtrait of {trait_id!r}"

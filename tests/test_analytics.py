@@ -9,7 +9,7 @@ import pytest
 
 from polytax.analytics import (
     NULL_POLICY_LABEL,
-    DistanceMatrix,
+    SquareMatrix,
     MstResult,
     TraitMatrix,
     build_trait_matrix,
@@ -131,7 +131,7 @@ def pruned_grid(mst):
     np.fill_diagonal(cells, 0.0)
     for i, j, weight in mst.edges:
         cells[i, j] = cells[j, i] = weight
-    return DistanceMatrix(mst.labels, cells)
+    return SquareMatrix(mst.labels, cells)
 
 
 def edge_bits(edges):
@@ -400,14 +400,14 @@ def make_distance(labels, entries):
     cells = np.zeros((n, n))
     for (i, j), w in entries.items():
         cells[i, j] = cells[j, i] = w
-    return DistanceMatrix(tuple(labels), cells)
+    return SquareMatrix(tuple(labels), cells)
 
 
 def test_simple_unique_mst():
     dist = make_distance("ABC", {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0})
     mst = kruskal_mst(dist)
     assert [(i, j) for i, j, _ in mst.edges] == [(0, 1), (1, 2)]
-    assert mst.total_weight() == pytest.approx(2.0)
+    assert sum(w for _, _, w in mst.edges) == pytest.approx(2.0)
 
 
 def test_tie_break_is_lexicographic():
@@ -417,13 +417,13 @@ def test_tie_break_is_lexicographic():
 
 
 def test_single_node():
-    dist = DistanceMatrix(("only",), np.zeros((1, 1)))
+    dist = SquareMatrix(("only",), np.zeros((1, 1)))
     assert kruskal_mst(dist).edges == lexsort_kruskal(dist).edges == ()
 
 
 def test_empty_matrix_rejected():
     with pytest.raises(PolicyError) as exc:
-        kruskal_mst(DistanceMatrix((), np.zeros((0, 0))))
+        kruskal_mst(SquareMatrix((), np.zeros((0, 0))))
     assert exc.value.code == "E_EMPTY"
 
 
@@ -436,7 +436,7 @@ def test_mst_matches_brute_force_on_random_instances():
         mst = kruskal_mst(dist)
         assert len(mst.edges) == n - 1
         oracle = brute_force_mst_weight(dist.cells)
-        assert mst.total_weight() == pytest.approx(oracle, abs=1e-9)
+        assert sum(w for _, _, w in mst.edges) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_mst_weight_invariant_under_row_permutation():
@@ -449,8 +449,8 @@ def test_mst_weight_invariant_under_row_permutation():
         tm.col_labels,
         tm.cells[order],
     )
-    w1 = kruskal_mst(euclidean_distance(tm)).total_weight()
-    w2 = kruskal_mst(euclidean_distance(permuted)).total_weight()
+    w1 = sum(w for _, _, w in kruskal_mst(euclidean_distance(tm)).edges)
+    w2 = sum(w for _, _, w in kruskal_mst(euclidean_distance(permuted)).edges)
     assert w1 == pytest.approx(w2, abs=1e-9)
 
 
@@ -464,7 +464,7 @@ def test_mst_on_bundled_dataset(model, null_mode):
 
 
 def tie_heavy_distances(rng, n, duplicate_labels, asymmetric):
-    """A DistanceMatrix with many equal weights.
+    """A SquareMatrix with many equal weights.
 
     Duplicate labels come from a small alphabet that has "A" and "A\\0",
     which numpy's fixed-width strings would not tell apart.
@@ -478,9 +478,9 @@ def tie_heavy_distances(rng, n, duplicate_labels, asymmetric):
         labels = tuple(rng.sample([f"L{k:02d}" for k in range(n)], n))
     if asymmetric:
         cells = np.array([[round(rng.random() / 2, 1) for _ in range(n)] for _ in range(n)])
-        return DistanceMatrix(labels, cells)
+        return SquareMatrix(labels, cells)
     tm = random_binary_matrix(rng, n, rng.randint(1, 5))
-    return DistanceMatrix(labels, euclidean_distance(tm).cells if n > 1 else np.zeros((1, 1)))
+    return SquareMatrix(labels, euclidean_distance(tm).cells if n > 1 else np.zeros((1, 1)))
 
 
 def test_mst_edges_equal_reference_kruskal():
@@ -498,7 +498,7 @@ SPECIAL_WEIGHTS = (0.0, -0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan, -mat
 def special_distances(rng, n, labels=("A", "B", "B\0", "C")):
     """Asymmetric cells drawn from SPECIAL_WEIGHTS, labels drawn with repeats."""
     cells = np.array([[rng.choice(SPECIAL_WEIGHTS) for _ in range(n)] for _ in range(n)])
-    return DistanceMatrix(tuple(rng.choice(labels) for _ in range(n)), cells)
+    return SquareMatrix(tuple(rng.choice(labels) for _ in range(n)), cells)
 
 
 @pytest.mark.parametrize("upper", [
@@ -520,7 +520,7 @@ def test_mst_orders_special_weights_as_lexsort(upper):
     n = len(upper)
     # The lower triangle disagrees everywhere: only the upper one counts.
     cells = np.triu(np.array(upper, dtype=float), 1) + np.tril(np.full((n, n), -5.0), -1)
-    dist = DistanceMatrix(tuple("CBAD"[:n]), cells)
+    dist = SquareMatrix(tuple("CBAD"[:n]), cells)
     edges = kruskal_mst(dist).edges
     assert_spanning_tree(edges, n)
     assert edge_bits(edges) == edge_bits(lexsort_kruskal(dist).edges)

@@ -71,7 +71,7 @@ def reference_checkmarks(model, flt, expand_subtraits):
         if flt.table is not None and table.name != flt.table:
             continue
         for row in table.rows:
-            category = model.category(row.category_id)
+            category = model._category_by_id.get(row.category_id)
             if category is None:
                 continue
             if flt.cross_tag is not None and flt.cross_tag not in category.cross_tags:
@@ -84,7 +84,7 @@ def reference_checkmarks(model, flt, expand_subtraits):
                     continue
                 if flt.trait_id is not None and trait_id != flt.trait_id:
                     continue
-                trait = model.trait(trait_id) if expand_subtraits else None
+                trait = model._trait_by_id.get(trait_id) if expand_subtraits else None
                 if trait is not None and trait.subtraits:
                     for sub in trait.subtraits:
                         yield table.name, row.category_id, trait_id, sub.id
@@ -227,17 +227,17 @@ def test_deterministic_order(model):
 def test_root_has_trade_and_stabilization_children(model):
     root = model.tree
     assert root.label == "Economic Policy"
-    labels = [model.node(c).label for c in root.children]
+    labels = [model._node_by_id.get(c).label for c in root.children]
     assert labels == ["International Trade Policy", "Stabilization Policy"]
 
 
 def test_stabilization_splits_into_fiscal_and_monetary(model):
     root = model.tree
     stab = next(
-        model.node(c) for c in root.children
-        if model.node(c).label == "Stabilization Policy"
+        model._node_by_id.get(c) for c in root.children
+        if model._node_by_id.get(c).label == "Stabilization Policy"
     )
-    assert [model.node(c).label for c in stab.children] == [
+    assert [model._node_by_id.get(c).label for c in stab.children] == [
         "Fiscal Policy", "Monetary Policy",
     ]
 
@@ -250,9 +250,10 @@ def test_forward_guidance_path(model):
     node = model.tree
     for label in path:
         node = next(
-            model.node(c) for c in node.children if model.node(c).label == label
+            model._node_by_id.get(c) for c in node.children
+            if model._node_by_id.get(c).label == label
         )
-    leaves = [model.node(c).label for c in node.children]
+    leaves = [model._node_by_id.get(c).label for c in node.children]
     assert leaves == ["Odyssean Forward Guidance", "Delphic Forward Guidance"]
 
 
@@ -265,7 +266,7 @@ def test_leaf_group_paths_match_tree(model):
     # Walking to a category leaf reproduces that category's group path.
     for node, depth in iter_tree(model):
         if node.category_ref is not None:
-            category = model.category(node.category_ref)
+            category = model._category_by_id.get(node.category_ref)
             assert len(category.group_path) == depth
 
 
@@ -309,7 +310,7 @@ def test_lookup_group_node(model):
 
 
 def test_lookup_node_by_exact_id(model):
-    assert lookup(model, "quantity-control") is model.node("quantity-control")
+    assert lookup(model, "quantity-control") is model._node_by_id.get("quantity-control")
 
 
 def test_lookup_name_of_several_categories_is_ambiguous(model):
@@ -334,10 +335,10 @@ def test_lookup_miss(model):
 def reference_lookup(model, name_or_id):
     """lookup as it was: one (name, item) list of every category and group
     node, scanned for an exact name, then for a prefix."""
-    category = model.category(name_or_id)
+    category = model._category_by_id.get(name_or_id)
     if category is not None:
         return category
-    node = model.node(name_or_id)
+    node = model._node_by_id.get(name_or_id)
     if node is not None:
         return node
     needle = name_or_id.strip().lower()
@@ -394,7 +395,7 @@ def reference_counts(model, by, flt=None, expand_subtraits=False):
 
 
 def reference_iter_tree(model):
-    """iter_tree as it was, resolving each child with model.node."""
+    """iter_tree as it was, resolving each child with model._node_by_id.get."""
     root = model.tree
     if root is None:
         raise PolicyError("E_NOT_FOUND", "model has no taxonomy tree")
@@ -406,7 +407,7 @@ def reference_iter_tree(model):
             seen.add(node.id)
             yield node, depth
             for child_id in reversed(node.children):
-                child = model.node(child_id)
+                child = model._node_by_id.get(child_id)
                 if child is not None:
                     stack.append((child, depth + 1))
 
@@ -490,7 +491,7 @@ def test_queries_match_the_references_on_merged_models(model, monkeypatch):
     rows = [(m, row) for m in models for table in m.tables for row in table.rows]
     assert any(map(in_several_tables, models))
     assert any(len(set(row.marks)) < len(row.marks) for _, row in rows)
-    assert any(m.category(row.category_id) is None for m, row in rows)
+    assert any(m._category_by_id.get(row.category_id) is None for m, row in rows)
     for m in models:
         names = [c.name for c in m.categories[-3:]] + [c.id for c in m.categories[-2:]]
         names += [n.label for n in m.nodes if n.category_ref is None][-2:]

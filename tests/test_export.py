@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from polytax.analytics import (
-    CorrelationMatrix,
-    DistanceMatrix,
+    SquareMatrix,
     TraitMatrix,
     build_trait_matrix,
     euclidean_distance,
@@ -31,7 +30,15 @@ from polytax.export import (
     export_tree_text,
     slugify,
 )
-from polytax.model import PolicyError, TaxonomyModel, TaxonomyNode
+from polytax.model import (
+    CheckTable,
+    PolicyCategory,
+    PolicyError,
+    TableRow,
+    TaxonomyModel,
+    TaxonomyNode,
+    TraitDef,
+)
 
 from .test_analytics import pruned_grid, special_distances
 
@@ -63,9 +70,9 @@ def import_matrix_csv(text, kind):
         return TraitMatrix(labels, cols, cells)
     if kind == "corr":
         cells = np.array([[np.nan if c == "" else float(c) for c in row] for row in body])
-        return CorrelationMatrix(labels, cells)
+        return SquareMatrix(labels, cells)
     cells = np.array([[float(c) for c in row] for row in body])
-    return DistanceMatrix(labels, cells)
+    return SquareMatrix(labels, cells)
 
 
 def test_tree_dot_contains_root_edge(model):
@@ -108,7 +115,7 @@ def test_tree_text_indents_by_depth(model):
 
 
 def test_mst_dot_degenerate_single_node():
-    mst = kruskal_mst(DistanceMatrix(("solo",), np.zeros((1, 1))))
+    mst = kruskal_mst(SquareMatrix(("solo",), np.zeros((1, 1))))
     dot = export_mst_dot(mst).text
     assert "solo" in dot
     assert " -- " not in dot
@@ -131,7 +138,7 @@ def test_dot_identifiers_are_never_keywords_or_numerals():
     labels = ["Node", "税", "2nd Tax", "Edge", "GRAPH", "Strict", "subgraph", "Di-graph", "3"]
     nodes = [TaxonomyNode("root", "Economic Policy", "group", tuple(labels))]
     nodes += [TaxonomyNode(label, label, "group") for label in labels]
-    mst = kruskal_mst(DistanceMatrix(tuple(labels), np.ones((len(labels),) * 2)))
+    mst = kruskal_mst(SquareMatrix(tuple(labels), np.ones((len(labels),) * 2)))
     for text in (export_tree_dot(TaxonomyModel(nodes=nodes, root_id="root")).text,
                  export_mst_dot(mst).text):
         ids = dot_identifiers(text)
@@ -172,7 +179,7 @@ def test_dot_slugs_match_the_underscore_search():
     assert declared == reference_slugs(["Economic Policy", *labels])
     for _ in range(200):
         labels = rng.choices(SLUG_LABELS, k=rng.randrange(1, 40))
-        mst = kruskal_mst(DistanceMatrix(tuple(labels), np.ones((len(labels),) * 2)))
+        mst = kruskal_mst(SquareMatrix(tuple(labels), np.ones((len(labels),) * 2)))
         declared = [line.split()[0] for line in export_mst_dot(mst).text.splitlines()
                     if "[label=" in line and " -- " not in line]
         assert declared == reference_slugs(labels)
@@ -206,7 +213,7 @@ def test_small_boolean_matrix_csv_shape():
 
 
 def test_undefined_correlation_is_empty_field():
-    corr = CorrelationMatrix(("a", "b"), np.array([[1.0, np.nan], [np.nan, np.nan]]))
+    corr = SquareMatrix(("a", "b"), np.array([[1.0, np.nan], [np.nan, np.nan]]))
     text = export_matrix_csv(corr).text
     assert text.splitlines()[1] == "a,1.0,"
     assert text.splitlines()[2] == "b,,"
@@ -284,7 +291,7 @@ def test_markdown_table_mirrors_rows(model):
     lines = md.splitlines()
     assert lines[0].startswith("| Category |")
     assert lines[0].endswith("| tags |")
-    assert len(lines) == 2 + len(model.table("other-expenses").rows)
+    assert len(lines) == 2 + len(model._table_by_name.get("other-expenses").rows)
     yellow = [l for l in lines if "international-trade" in l]
     assert len(yellow) == 2
 
@@ -293,6 +300,27 @@ def test_markdown_table_unknown_table_is_not_found(model):
     with pytest.raises(PolicyError) as exc:
         export_table_markdown(model, "no-such-table")
     assert exc.value.code == "E_NOT_FOUND"
+
+
+def test_markdown_table_falls_back_to_ids_for_undefined_columns_and_rows():
+    model = TaxonomyModel(
+        traits=[TraitDef("t", "Rate")],
+        categories=[PolicyCategory("c", "Cat", cross_tags=frozenset({"x", "a"}))],
+        tables=[CheckTable("main", "Main", ("t", "ghost"),
+                           (TableRow("c", ("t",)), TableRow("stray", ("ghost",))))],
+    )
+    text = export_table_markdown(model, "main").text
+    assert text == (
+        "| Category | Rate | ghost | tags |\n"
+        "| --- | --- | --- | --- |\n"
+        "| Cat | x |  | a, x |\n"
+        "| stray |  | x |  |\n"
+    )
+    header, _, _, stray = ([cell.strip() for cell in line[1:-1].split("|")]
+                           for line in text.splitlines())
+    assert header[2] == "ghost"  # the undefined trait's column is headed by its id
+    assert stray[0] == "stray"  # the undefined category's row starts with its id
+    assert stray[-1] == ""  # and its tags cell is empty
 
 
 def test_schema_list_lines(model):
@@ -319,40 +347,40 @@ def _oracle_cases():
         labels = tuple(ODD_LABELS[i % len(ODD_LABELS)] for i in range(n))
         thirds = rng.integers(-9, 10, size=(n, n)) / 3
         floats = np.where(rng.random((n, n)) < 0.3, thirds, rng.choice(SPECIAL, size=(n, n)))
-        yield CorrelationMatrix(labels, floats)
-        yield DistanceMatrix(labels, np.sqrt(rng.integers(0, 65, size=(n, n)).astype(float)))
+        yield SquareMatrix(labels, floats)
+        yield SquareMatrix(labels, np.sqrt(rng.integers(0, 65, size=(n, n)).astype(float)))
         cols = tuple(reversed(labels))
         yield TraitMatrix(labels, cols, rng.random((n, n)) < 0.4)
     yield TraitMatrix(ODD_LABELS, (), np.zeros((len(ODD_LABELS), 0), dtype=bool))
     yield TraitMatrix(("solo",), ODD_LABELS, np.ones((1, len(ODD_LABELS)), dtype=bool))
-    yield DistanceMatrix(("", "x"), np.array([[-0.0, PAYLOAD_NAN], [np.nan, 0.0]]))
-    yield CorrelationMatrix((), np.zeros((0, 0)))
+    yield SquareMatrix(("", "x"), np.array([[-0.0, PAYLOAD_NAN], [np.nan, 0.0]]))
+    yield SquareMatrix((), np.zeros((0, 0)))
     yield TraitMatrix((), (), np.zeros((0, 0), dtype=bool))
     # Thousands of distinct values share 16-32 hash slots per key, so slot
     # collisions are certain; row counts straddle the block size.
     for n in (101, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
         labels = tuple(f"r{i}" for i in range(n))
         distinct = rng.standard_normal((n, n))
-        yield CorrelationMatrix(labels, distinct)
+        yield SquareMatrix(labels, distinct)
         specials = rng.choice((-0.0, 0.0, np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324), (n, n))
-        yield DistanceMatrix(labels, np.where(rng.random((n, n)) < 0.2, specials, distinct))
+        yield SquareMatrix(labels, np.where(rng.random((n, n)) < 0.2, specials, distinct))
         yield TraitMatrix(labels, labels[:7], rng.random((n, 7)) < 0.5)
     # Layouts and dtypes the writer converts block by block.
     labels = tuple(f"r{i}" for i in range(9))
     normal = rng.standard_normal((18, 18))
     floats = np.where(rng.random((18, 18)) < 0.5, rng.choice(SPECIAL, (18, 18)), normal)
-    yield CorrelationMatrix(labels, floats[:9, :9].T)
-    yield CorrelationMatrix(labels, floats[::2, ::2])
-    yield DistanceMatrix(labels, np.asfortranarray(floats[:9, :9]))
+    yield SquareMatrix(labels, floats[:9, :9].T)
+    yield SquareMatrix(labels, floats[::2, ::2])
+    yield SquareMatrix(labels, np.asfortranarray(floats[:9, :9]))
     # SPECIAL without 1e300, which float32 cannot hold.
     narrow = np.where(floats == 1e300, normal, floats)
-    yield DistanceMatrix(labels, narrow[:9, :9].astype(np.float32))
+    yield SquareMatrix(labels, narrow[:9, :9].astype(np.float32))
     yield TraitMatrix(labels, labels[:4], rng.integers(-2**31, 2**31, size=(9, 4), dtype=np.int32))
     # Few distinct keys, as in a distance matrix (sqrt of 0..35), with row
     # counts that straddle the block size.
     for n in (15, 16, 17, 33):
         labels = tuple(f"r{i}" for i in range(n))
-        yield DistanceMatrix(labels, np.sqrt(rng.integers(0, 36, size=(n, n)).astype(float)))
+        yield SquareMatrix(labels, np.sqrt(rng.integers(0, 36, size=(n, n)).astype(float)))
     yield TraitMatrix(("a", "b"), ("x", "y", "z"), rng.integers(-3, 4, size=(2, 3)))
     yield TraitMatrix(("a",), ("x", "y"), np.array([[2**64 - 1, 5]], dtype=np.uint64))
 
@@ -392,7 +420,7 @@ def test_zero_column_matrix_csv_bytes():
 
 def test_carriage_return_labels_are_quoted_and_round_trip():
     labels = ("", " s", "l\r")
-    dist = DistanceMatrix(labels, np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 1.5], [2.0, 1.5, 0.0]]))
+    dist = SquareMatrix(labels, np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 1.5], [2.0, 1.5, 0.0]]))
     text = export_matrix_csv(dist).text
     assert text == ',, s,"l\r"\n,0.0,0.1,2.0\n s,0.1,0.0,1.5\n"l\r",2.0,1.5,0.0\n'
     rows = list(csv.reader(io.StringIO(text, newline="")))
@@ -401,7 +429,7 @@ def test_carriage_return_labels_are_quoted_and_round_trip():
 
 
 def test_markdown_table_escapes_pipes_in_cells(model):
-    table = model.table("other-expenses")
+    table = model._table_by_name.get("other-expenses")
     cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
     piped = model._replace(
         categories=[
@@ -421,7 +449,7 @@ def test_markdown_table_escapes_pipes_in_cells(model):
 
 
 def test_markdown_table_writes_line_breaks_in_cells_as_br(model):
-    table = model.table("other-expenses")
+    table = model._table_by_name.get("other-expenses")
     cat_id, trait_id = table.rows[0].category_id, table.trait_columns[0]
     broken = model._replace(
         categories=[

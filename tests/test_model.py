@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from polytax import ingest
 from polytax import model as M
-from polytax.analytics import CorrelationMatrix, DistanceMatrix, MstResult, TraitMatrix
+from polytax.analytics import MstResult, SquareMatrix, TraitMatrix
 from polytax.enumeration import EnumerationFilter
 from polytax.export import ExportArtifact
 from polytax.model import (
@@ -315,6 +315,17 @@ def test_flat_rate_personal_income_tax(model):
     assert policy.bindings == {"tax rate": 0.2}
 
 
+@pytest.mark.parametrize("category_id, trait_id, unknown", [
+    ("no-such-category", "tax-calculation-type", "category 'no-such-category'"),
+    ("personal-income-tax", "no-such-trait", "trait 'no-such-trait'"),
+])
+def test_unknown_category_or_trait_is_not_found(model, category_id, trait_id, unknown):
+    with pytest.raises(PolicyError) as exc:
+        instantiate_atomic_policy(model, category_id, trait_id, "proportional-tax")
+    assert exc.value.code == "E_NOT_FOUND"
+    assert str(exc.value) == f"E_NOT_FOUND: unknown {unknown}"
+
+
 def test_unmarked_pair_is_not_implementable(model):
     with pytest.raises(PolicyError) as exc:
         instantiate_atomic_policy(
@@ -500,7 +511,7 @@ def _kind_findings_from_all_marks(model):
                 yield from _kind_clashes(first, sub.parameters, f"{path}/subtraits/{sub.id}")
     for category_id in marks.keys() & owners.keys():
         first = _first_kinds(owners[category_id].own_parameters, f"/categories/{category_id}")
-        for trait in filter(None, map(model.trait, marks[category_id])):
+        for trait in filter(None, map(model._trait_by_id.get, marks[category_id])):
             path = f"/traits/{trait.id}"
             yield from _kind_clashes(first, trait.parameters, path)
             for sub in trait.subtraits:
@@ -598,8 +609,7 @@ VALUE_RECORDS = [
                          "trait_id": None}),
     (ExportArtifact, {"text": "x\n"}),
     (TraitMatrix, {"row_labels": ("a", "b"), "col_labels": ("t", "u"), "cells": _CELLS}),
-    (CorrelationMatrix, {"labels": ("a", "b"), "cells": _CELLS}),
-    (DistanceMatrix, {"labels": ("a", "b"), "cells": _CELLS}),
+    (SquareMatrix, {"labels": ("a", "b"), "cells": _CELLS}),
     (MstResult, {"labels": ("a", "b"), "edges": ((0, 1, 1.5),)}),
 ]
 
@@ -645,9 +655,9 @@ def test_model_copies_with_replace_and_compares_field_wise():
     )
     # _replace builds a new model with its own indexes and leaves the original as it was.
     copy = model._replace(traits=[TraitDef("u", "U")])
-    assert copy.traits == (TraitDef("u", "U"),) and copy.trait("u") == TraitDef("u", "U")
-    assert copy.trait("t") is None and copy.category("c") == PolicyCategory("c", "C")
-    assert model.traits == (TraitDef("t", "T"),) and model.trait("u") is None
+    assert copy.traits == (TraitDef("u", "U"),) and copy._trait_by_id.get("u") == TraitDef("u", "U")
+    assert copy._trait_by_id.get("t") is None and copy._category_by_id.get("c") == PolicyCategory("c", "C")
+    assert model.traits == (TraitDef("t", "T"),) and model._trait_by_id.get("u") is None
     assert model._replace() == model and model._replace() is not model
     with pytest.raises(TypeError):
         model._replace(trait=())
