@@ -9,8 +9,8 @@ import pytest
 
 from polytax.analytics import (
     NULL_POLICY_LABEL,
-    SquareMatrix,
     MstResult,
+    SquareMatrix,
     TraitMatrix,
     build_trait_matrix,
     euclidean_distance,

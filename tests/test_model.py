@@ -656,7 +656,8 @@ def test_model_copies_with_replace_and_compares_field_wise():
     # _replace builds a new model with its own indexes and leaves the original as it was.
     copy = model._replace(traits=[TraitDef("u", "U")])
     assert copy.traits == (TraitDef("u", "U"),) and copy._trait_by_id.get("u") == TraitDef("u", "U")
-    assert copy._trait_by_id.get("t") is None and copy._category_by_id.get("c") == PolicyCategory("c", "C")
+    assert copy._trait_by_id.get("t") is None
+    assert copy._category_by_id.get("c") == PolicyCategory("c", "C")
     assert model.traits == (TraitDef("t", "T"),) and model._trait_by_id.get("u") is None
     assert model._replace() == model and model._replace() is not model
     with pytest.raises(TypeError):
