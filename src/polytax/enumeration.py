@@ -34,7 +34,8 @@ class EnumerationFilter(NamedTuple):
     trait_id: Optional[str] = None
 
 
-def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
+def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> Optional[tuple[str, ...]]:
+    """E_BAD_FILTER for a value that matches nothing, else the group prefix as a tuple or None."""
     if flt.table is not None and flt.table not in model._table_by_name:
         raise PolicyError("E_BAD_FILTER", f"unknown table {flt.table!r}")
     if flt.trait_id is not None and flt.trait_id not in model._trait_by_id:
@@ -42,11 +43,11 @@ def _resolve_filter(model: TaxonomyModel, flt: EnumerationFilter) -> None:
     categories = model.categories
     if flt.cross_tag is not None and not any(flt.cross_tag in c.cross_tags for c in categories):
         raise PolicyError("E_BAD_FILTER", f"unknown cross tag {flt.cross_tag!r}")
-    if flt.group_prefix is not None:
-        prefix = tuple(flt.group_prefix)
-        if not any(c.group_path[: len(prefix)] == prefix for c in categories):
-            message = f"no category under group prefix {flt.group_prefix!r}"
-            raise PolicyError("E_BAD_FILTER", message)
+    prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
+    if prefix is not None and not any(c.group_path[: len(prefix)] == prefix for c in categories):
+        message = f"no category under group prefix {flt.group_prefix!r}"
+        raise PolicyError("E_BAD_FILTER", message)
+    return prefix
 
 
 def _rows(
@@ -61,8 +62,7 @@ def _rows(
     trait's last definition); weights holds each trait id's number of
     schemas over those columns, a repeated column counting each time."""
     flt = flt or EnumerationFilter()
-    _resolve_filter(model, flt)
-    prefix = None if flt.group_prefix is None else tuple(flt.group_prefix)
+    prefix = _resolve_filter(model, flt)
     expansions = {}
     if expand_subtraits:
         expansions = {t.id: tuple((t.id, sub.id) for sub in t.subtraits) for t in model.traits}

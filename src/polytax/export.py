@@ -44,11 +44,11 @@ def _quote(text: str) -> str:
 
 
 def _slugs(labels: Iterable[str]) -> list[str]:
-    """One DOT identifier per label, made unique by appending underscores:
-    the k-th repeat of a slug gets k of them. A keyword or a slug that
-    starts with a digit gets a leading underscore. Since slugify strips
-    underscores from both ends, no slug ends in one, so the repeats of two
-    different slugs never meet."""
+    """One DOT identifier per label, made unique by a suffix: the first
+    repeat of a slug gets "_", and the k-th, for k >= 2, gets "__<k>". A
+    keyword or a slug that starts with a digit gets a leading underscore.
+    slugify never writes "__" and strips underscores from both ends, so no
+    slug ends in "_" or holds "__": a suffixed name meets no other."""
     repeats: dict[str, int] = {}
     out = []
     for label in labels:
@@ -57,7 +57,7 @@ def _slugs(labels: Iterable[str]) -> list[str]:
             slug = "_" + slug
         k = repeats.get(slug, 0)
         repeats[slug] = k + 1
-        out.append(slug + "_" * k)
+        out.append(slug if k == 0 else slug + "_" if k == 1 else f"{slug}__{k}")
     return out
 
 

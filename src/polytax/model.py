@@ -291,37 +291,41 @@ def table_marks(tables: Iterable[CheckTable]) -> dict[str, frozenset[str]]:
 
 # The checks below read the model's by-id indexes directly, and format a
 # JSON path only for a finding they yield: on a clean model they build no
-# string per record.
+# string per record. Every repeated-key finding comes from _repeats: a key
+# listed k times gives k - 1 of them.
 
-def _check_parameters(params: Iterable[ParameterSpec], path: str) -> Iterator[Diagnostic]:
+def _repeats(keys: Iterable[str]) -> Iterator[str]:
+    """Each key that equals an earlier one, once per repeat."""
     seen = set()
+    for key in keys:
+        if key in seen:
+            yield key
+        seen.add(key)
+
+
+def _check_unique(keys: Iterable[str], path: str, what: str) -> Iterator[Diagnostic]:
+    for key in _repeats(keys):
+        yield Diagnostic("E_DUP_ID", f"{path}/{key}", f"duplicate {what} {key!r}")
+
+
+def _check_parameters(params: Sequence[ParameterSpec], path: str) -> Iterator[Diagnostic]:
     for p in params:
         if p.kind not in PARAMETER_KINDS:
             message = f"unknown parameter kind {p.kind!r}"
             yield Diagnostic("E_BAD_KIND", f"{path}/parameters/{p.name}", message)
-        if p.name in seen:
-            message = f"duplicate parameter name {p.name!r}"
-            yield Diagnostic("E_DUP_PARAM", f"{path}/parameters/{p.name}", message)
-        seen.add(p.name)
-
-
-def _check_unique_ids(items, path_prefix: str) -> Iterator[Diagnostic]:
-    """E_DUP_ID for each item whose id repeats an earlier one's."""
-    seen = set()
-    for item in items:
-        if item.id in seen:
-            yield Diagnostic("E_DUP_ID", f"{path_prefix}/{item.id}", f"duplicate id {item.id!r}")
-        seen.add(item.id)
+    for name in _repeats(p.name for p in params):
+        message = f"duplicate parameter name {name!r}"
+        yield Diagnostic("E_DUP_PARAM", f"{path}/parameters/{name}", message)
 
 
 def _check_traits(traits: Sequence[TraitDef]) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(traits, "/traits")
+    yield from _check_unique((t.id for t in traits), "/traits", "id")
     for trait in traits:
         if trait.parameters:
             yield from _check_parameters(trait.parameters, f"/traits/{trait.id}")
         if trait.subtraits:
             path = f"/traits/{trait.id}/subtraits"
-            yield from _check_unique_ids(trait.subtraits, path)
+            yield from _check_unique((sub.id for sub in trait.subtraits), path, "id")
             for sub in trait.subtraits:
                 if sub.parameters:
                     yield from _check_parameters(sub.parameters, f"{path}/{sub.id}")
@@ -330,7 +334,7 @@ def _check_traits(traits: Sequence[TraitDef]) -> Iterator[Diagnostic]:
 def _check_categories(
     model: TaxonomyModel, categories: Sequence[PolicyCategory]
 ) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(categories, "/categories")
+    yield from _check_unique((c.id for c in categories), "/categories", "id")
     channels = model._channel_by_id
     for category in categories:
         if category.own_parameters:
@@ -344,7 +348,7 @@ def _check_categories(
 
 
 def _check_channels(channels: Sequence[TransactionChannel]) -> Iterator[Diagnostic]:
-    yield from _check_unique_ids(channels, "/channels")
+    yield from _check_unique((ch.id for ch in channels), "/channels", "id")
     for channel in channels:
         if channel.authority not in AUTHORITIES:
             message = f"unknown authority {channel.authority!r}"
@@ -420,43 +424,27 @@ def _validate_tree(model: TaxonomyModel) -> Iterator[Diagnostic]:
             yield Diagnostic("E_UNKNOWN_CATEGORY", f"/tree/{node.id}", message)
 
 
-def _check_table_names(tables: Iterable[CheckTable]) -> Iterator[Diagnostic]:
-    seen = set()
-    for table in tables:
-        if table.name in seen:
-            yield Diagnostic("E_DUP_ID", f"/tables/{table.name}", f"duplicate table {table.name!r}")
-        seen.add(table.name)
-
-
 def _check_table(model: TaxonomyModel, table: CheckTable) -> Iterator[Diagnostic]:
     traits, categories = model._trait_by_id, model._category_by_id
     path = f"/tables/{table.name}"
-    seen_columns = set()
-    for trait_id in table.trait_columns:
-        if trait_id in seen_columns:
-            message = f"duplicate column {trait_id!r}"
-            yield Diagnostic("E_DUP_ID", f"{path}/columns/{trait_id}", message)
-        seen_columns.add(trait_id)
+    columns = set(table.trait_columns)
+    yield from _check_unique(table.trait_columns, f"{path}/columns", "column")
+    for trait_id in table.trait_columns:  # per listing: a repeat is flagged again
         if trait_id not in traits:
             yield Diagnostic(
                 "E_UNKNOWN_TRAIT", f"{path}/columns/{trait_id}",
                 f"table column {trait_id!r} is not a trait",
             )
-    seen_rows = set()
-    for row in table.rows:
-        category_id = row.category_id
-        if category_id in seen_rows:
-            message = f"duplicate row {category_id!r}"
-            yield Diagnostic("E_DUP_ID", f"{path}/rows/{category_id}", message)
-        seen_rows.add(category_id)
+    yield from _check_unique((row.category_id for row in table.rows), f"{path}/rows", "row")
+    for category_id, marks in table.rows:
         if category_id not in categories:
             yield Diagnostic(
                 "E_UNKNOWN_CATEGORY", f"{path}/rows/{category_id}",
                 f"row references unknown category {category_id!r}",
             )
-        if not seen_columns.issuperset(row.marks):
-            for mark in row.marks:
-                if mark not in seen_columns:
+        if not columns.issuperset(marks):
+            for mark in marks:
+                if mark not in columns:
                     yield Diagnostic(
                         "E_BAD_MARK", f"{path}/rows/{category_id}",
                         f"mark {mark!r} is not a column of table {table.name!r}",
@@ -537,9 +525,9 @@ def _findings(model: TaxonomyModel, base: Optional[TaxonomyModel] = None) -> Ite
     yield from _check_categories(model, model.categories[len(start.categories):])
     yield from _check_channels(model.channels[len(start.channels):])
     if base is None:
-        yield from _check_unique_ids(model.nodes, "/tree")
+        yield from _check_unique((n.id for n in model.nodes), "/tree", "id")
         yield from _validate_tree(model)
-    yield from _check_table_names(model.tables)
+    yield from _check_unique((t.name for t in model.tables), "/tables", "table")
     for table in tables:
         yield from _check_table(model, table)
     yield from _validate_parameter_kinds(model, tables)

@@ -148,19 +148,16 @@ def test_dot_identifiers_are_never_keywords_or_numerals():
             assert identifier.lower() not in DOT_KEYWORDS, identifier
 
 
-# The underscore search that _slugs replaced, kept as its oracle: it costs
-# about k**3 character work for k nodes that share one label.
+# The suffix rule spelled out: each label's slug, with a leading "_" for a
+# DOT keyword or a leading digit, then "", "_", "__2", "__3", ... for its
+# first, second, third, fourth ... occurrence among the labels.
 def reference_slugs(labels):
-    used, out = set(), []
+    bases = []
     for label in labels:
         slug = slugify(label)
-        if slug in DOT_KEYWORDS or slug[0].isdigit():
-            slug = "_" + slug
-        while slug in used:
-            slug += "_"
-        used.add(slug)
-        out.append(slug)
-    return out
+        bases.append("_" + slug if slug in DOT_KEYWORDS or slug[0].isdigit() else slug)
+    suffixes = ["", "_"] + [f"__{k}" for k in range(2, len(bases))]
+    return [slug + suffixes[bases[:i].count(slug)] for i, slug in enumerate(bases)]
 
 
 SLUG_LABELS = [
@@ -168,7 +165,7 @@ SLUG_LABELS = [
 ]
 
 
-def test_dot_slugs_match_the_underscore_search():
+def test_dot_slugs_follow_the_suffix_rule():
     rng = random.Random(7)
     labels = ["Other"] * 300 + SLUG_LABELS * 3
     rng.shuffle(labels)
@@ -177,15 +174,16 @@ def test_dot_slugs_match_the_underscore_search():
     text = export_tree_dot(TaxonomyModel(nodes=nodes, root_id="root")).text
     declared = [line.split()[0] for line in text.splitlines() if "[label=" in line]
     assert declared == reference_slugs(["Economic Policy", *labels])
+    assert len(set(declared)) == len(declared)
     for _ in range(200):
         labels = rng.choices(SLUG_LABELS, k=rng.randrange(1, 40))
         mst = kruskal_mst(SquareMatrix(tuple(labels), np.ones((len(labels),) * 2)))
         declared = [line.split()[0] for line in export_mst_dot(mst).text.splitlines()
                     if "[label=" in line and " -- " not in line]
         assert declared == reference_slugs(labels)
-    # The search's names for one label repeated are its slug with 0, 1, 2, ...
-    # underscores; it would take about a minute to hand out these 8,000.
-    assert _slugs(["Other"] * 8000) == ["other" + "_" * k for k in range(8000)]
+        assert len(set(declared)) == len(declared)
+    # One label repeated: the names grow with the digits of k, not with k.
+    assert _slugs(["Other"] * 8000) == ["other", "other_"] + [f"other__{k}" for k in range(2, 8000)]
 
 
 def test_collapse_mode_mst_dot_has_null_policy_node(model):

@@ -116,7 +116,8 @@ def test_duplicate_ids_and_params_flagged():
 
 def test_repeated_table_column_or_row_is_dup_id():
     """A column or a row listed twice in one table would list its schemas
-    twice; each repeat is an E_DUP_ID at its path in the table."""
+    twice; each repeat is an E_DUP_ID at its path in the table, so a key
+    listed three times gives two. An unknown column is flagged per listing."""
     doc = {
         "schema_version": "1",
         "traits": [{"id": "t", "name": "T"}],
@@ -126,12 +127,24 @@ def test_repeated_table_column_or_row_is_dup_id():
              "rows": [{"category": "c", "marks": ["t"]}]},
             {"name": "rows", "trait_columns": ["t"],
              "rows": [{"category": "c", "marks": ["t"]}, {"category": "c", "marks": []}]},
+            {"name": "cols3", "trait_columns": ["t", "t", "t"], "rows": []},
+            {"name": "rows3", "trait_columns": ["t"],
+             "rows": [{"category": "c", "marks": []}] * 3},
+            {"name": "unknown", "trait_columns": ["u", "u"],
+             "rows": [{"category": "c", "marks": []}]},
         ],
     }
     _, diags = ingest.parse_document_dict(doc)
     assert triples(diags) == [
         ("E_DUP_ID", "/tables/cols/columns/t", "duplicate column 't'"),
+        ("E_DUP_ID", "/tables/cols3/columns/t", "duplicate column 't'"),
+        ("E_DUP_ID", "/tables/cols3/columns/t", "duplicate column 't'"),
         ("E_DUP_ID", "/tables/rows/rows/c", "duplicate row 'c'"),
+        ("E_DUP_ID", "/tables/rows3/rows/c", "duplicate row 'c'"),
+        ("E_DUP_ID", "/tables/rows3/rows/c", "duplicate row 'c'"),
+        ("E_DUP_ID", "/tables/unknown/columns/u", "duplicate column 'u'"),
+        ("E_UNKNOWN_TRAIT", "/tables/unknown/columns/u", "table column 'u' is not a trait"),
+        ("E_UNKNOWN_TRAIT", "/tables/unknown/columns/u", "table column 'u' is not a trait"),
     ]
 
 
