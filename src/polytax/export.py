@@ -7,16 +7,16 @@ them from exact integer counts, the CSV bytes do not depend on the BLAS,
 and few values are distinct. One sort of the cells' bit patterns gives
 the distinct ones, each formatted once with its separator; a cell finds
 its text through a multiplicative hash of its bits, checked against the
-sorted patterns, and a block of rows is one gather and one join, so no
-per-cell work runs in Python. Undefined cells (NaN: correlations of
-constant rows, non-tree cells of the MST-pruned distances) become empty
-fields. The pruned CSV is written from the tree's edge list, each row as
-runs of commas between its few cells, never from an n x n grid. Labels
-are quoted per RFC 4180 when they hold a comma, quote, CR or LF.
+sorted patterns, and a block of rows is one gather into a list of shared
+texts, joined once at the end, so no per-cell work runs in Python.
+Undefined cells (NaN: correlations of constant rows, non-tree cells of the
+MST-pruned distances) become empty fields. The pruned CSV is written from
+the tree's edge list, each row as runs of commas between its few cells,
+never from an n x n grid. Labels are quoted per RFC 4180 when they hold a
+comma, quote, CR or LF.
 """
 from __future__ import annotations
 
-import io
 import math
 import re
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -145,7 +145,9 @@ def export_matrix_csv(matrix: TraitMatrix | SquareMatrix) -> ExportArtifact:
     index into the keys comes from a multiplicative hash of its key; the
     key at that index is compared with the cell's, and where they differ a
     binary search finds the index, so the bytes never depend on the hash.
-    The block's row labels and cell texts are then one gather and one join.
+    The block's row labels and cell texts are then one gather, added to
+    one list of pieces that is joined once, so only the text and that list
+    of references are held at the peak.
     """
     import numpy as np
 
@@ -186,8 +188,7 @@ def export_matrix_csv(matrix: TraitMatrix | SquareMatrix) -> ExportArtifact:
     by_count = np.argsort(counts)
     table[((keys[by_count] * golden) >> shift).view(np.intp)] = by_count
 
-    buf = io.StringIO()
-    buf.write(_csv_header(cols))
+    out = [_csv_header(cols)]
     codes = np.empty((_BLOCK_ROWS, len(cols) + 1), dtype=np.intp)
     for start in range(0, len(cells), _BLOCK_ROWS):
         block = cells[start : start + _BLOCK_ROWS].astype(dtype, copy=False).view("u8")
@@ -200,14 +201,15 @@ def export_matrix_csv(matrix: TraitMatrix | SquareMatrix) -> ExportArtifact:
         code = codes[: len(block)]
         code[:, 1:] = found
         code[:, 0] = range(2 * len(keys) + start, 2 * len(keys) + start + len(block))
-        buf.write("".join(pieces[code].ravel().tolist()))
-    return ExportArtifact(buf.getvalue())
+        out += pieces[code].ravel().tolist()
+    return ExportArtifact("".join(out))
 
 
 def export_pruned_csv(mst: MstResult) -> ExportArtifact:
     """The MST-pruned distance matrix as CSV: 0.0 on the diagonal, the tree
     edge weights, and empty fields off the tree. Each row is written as runs
-    of commas between its few non-empty cells."""
+    of commas between its few non-empty cells, into one list of pieces
+    that is joined once."""
     n = len(mst.labels)
     tree: list[list[tuple[int, str]]] = [[(i, "0.0")] for i in range(n)]
     for i, j, weight in mst.edges:
@@ -215,18 +217,16 @@ def export_pruned_csv(mst: MstResult) -> ExportArtifact:
         tree[i].append((j, text))
         tree[j].append((i, text))
 
-    buf = io.StringIO()
-    buf.write(_csv_header(mst.labels))
+    out = [_csv_header(mst.labels)]
     for label, row in zip(mst.labels, tree):
-        parts = [_csv_field(label)]
+        out.append(_csv_field(label))
         before = -1
         row.sort()
         for j, text in row:
-            parts.append("," * (j - before) + text)
+            out.append("," * (j - before) + text)
             before = j
-        parts.append("," * (n - 1 - before) + "\n")
-        buf.write("".join(parts))
-    return ExportArtifact(buf.getvalue())
+        out.append("," * (n - 1 - before) + "\n")
+    return ExportArtifact("".join(out))
 
 
 def _md_cell(text: str) -> str:

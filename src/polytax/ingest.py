@@ -9,15 +9,19 @@ taking a value of its kind's exact JSON class (str, or a list of str) as
 is; any other goes to _field. Parsing is total: a value of another kind
 is dropped with an E_SCHEMA at its JSON path (null counts as missing; the
 path is formatted only then), and a file that cannot be read, decoded or
-nested as deeply gives E_SYNTAX. Serialization writes each record's text
-straight from its field table. The small generic emitter _dumps writes
-only meta and off-type scalars, such as an int id or an int in a list of
-strings, and leaves null, booleans and numbers to json.dumps; a list field
-given another iterable, such as a set, goes as a list through the writer
-that its field's kind already uses. The tables alone say which traits a
-category can implement (TaxonomyModel.implementable_trait_ids); a
-category's inline implementable_trait_ids key is only checked against its
-table rows.
+nested as deeply gives E_SYNTAX. Within one parse or merge call, equal
+strings in list-of-strings fields, and equal such lists, are one object,
+the first one parsed; a list that holds a str subclass keeps its own
+objects, and single-string fields are not shared. Serialization writes
+each record's text straight from its field table, and a list of its
+field's class once per call and level. The small generic emitter _dumps
+writes only meta and off-type scalars, such as an int id or an int in a
+list of strings, and leaves null, booleans and numbers to json.dumps; a
+list field given another iterable, such as a set, goes as a list through
+the writer that its field's kind already uses. The tables alone say which
+traits a category can implement (TaxonomyModel.implementable_trait_ids);
+a category's inline implementable_trait_ids key is only checked against
+its table rows.
 
 parse_taxonomy_document, parse_document_dict, load_model_from_path and
 merge_extension pause the cyclic garbage collector
@@ -100,6 +104,7 @@ class IngestError(Exception):
 
 # The JSON kinds a document value can have; "strings" is a list of strings.
 _KINDS = {"string": str, "list": list, "object": dict, "strings": list}
+_STR = frozenset({str})  # the element classes of a list that _parse_record shares
 
 
 def _path(loc) -> str:
@@ -200,10 +205,15 @@ def _unknown_keys(doc: dict) -> list[Diagnostic]:
     ]
 
 
-def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) -> Any:
+def _parse_record(item: Any, loc, record: _Record, diags, shared: dict,
+                  children: tuple = ()) -> Any:
     """The record item at location loc, built positionally from its slots
     (required fields first), or None after one E_SCHEMA at loc unless item
-    is an object whose required keys hold strings. A node's children are given."""
+    is an object whose required keys hold strings. A node's children are given.
+    A list of strings, each exactly a str, is held through shared, which
+    maps each string and each tuple or frozenset of them to the first equal
+    one built in the call, so equal values are one object; a list that holds
+    another value, such as a str subclass, keeps its own objects."""
     item = item if isinstance(item, dict) else {}  # a non-object fails the first slot
     values = []
     for key, kind, default in record.slots:
@@ -220,24 +230,32 @@ def _parse_record(item: Any, loc, record: _Record, diags, children: tuple = ()) 
         elif kind is None:
             value = children
         elif kind.__class__ is _Record:
-            value = _parse_list(item, key, loc, kind, diags)
+            value = _parse_list(item, key, loc, kind, diags, shared)
         else:
-            value = kind(_field(item, key, "strings", loc, diags, ()))
+            value = item.get(key)
+            if value.__class__ is list and {*map(type, value)} <= _STR:
+                # Most lists repeat whole, so the whole list is looked up first.
+                held = kind(value)
+                value = shared.get(held)
+                if value is None:
+                    value = shared[held] = kind(map(shared.setdefault, held, held))
+            else:
+                value = kind(_field(item, key, "strings", loc, diags, default))
         values.append(value)
     return tuple.__new__(record.cls, values)
 
 
-def _parse_list(obj: dict, key: str, loc, record: _Record, diags) -> tuple:
+def _parse_list(obj: dict, key: str, loc, record: _Record, diags, shared: dict) -> tuple:
     """The records in the list obj[key], obj at location loc; see _parse_record."""
     out = []
     for i, item in enumerate(_field(obj, key, "list", loc, diags, ())):
-        value = _parse_record(item, (loc, key, i), record, diags)
+        value = _parse_record(item, (loc, key, i), record, diags, shared)
         if value is not None:
             out.append(value)
     return tuple(out)
 
 
-def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
+def _categories(doc, tables, diags, shared) -> tuple[PolicyCategory, ...]:
     """The document's categories. An inline implementable_trait_ids key that
     disagrees with the table rows is an error, never a silent union. The
     rows' marks are gathered only once a category has that key."""
@@ -245,7 +263,7 @@ def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
     out = []
     for i, item in enumerate(_field(doc, "categories", "list", (), diags, ())):
         loc = ((), "categories", i)
-        if (category := _parse_record(item, loc, _CATEGORY, diags)) is None:
+        if (category := _parse_record(item, loc, _CATEGORY, diags, shared)) is None:
             continue
         inline = _field(item, "implementable_trait_ids", "strings", loc, diags, [])
         if inline and marks is None:
@@ -257,7 +275,7 @@ def _categories(doc, tables, diags) -> tuple[PolicyCategory, ...]:
     return tuple(out)
 
 
-def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
+def _parse_tree(doc, diags, shared) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
     """The tree's nodes in post-order. The walk uses an explicit stack, so
     depth is not bounded by the recursion limit; it visits children last to
     first, and reversing that pre-order gives the post-order. Each stack
@@ -280,7 +298,7 @@ def _parse_tree(doc, diags) -> tuple[tuple[TaxonomyNode, ...], Optional[str]]:
                 stack.append(child_entry)
             else:
                 diags.append(Diagnostic("E_SCHEMA", _path(child_entry), _NODE.malformed))
-        nodes.append(_parse_record(entry[3], entry, _NODE, diags, tuple(ids)))
+        nodes.append(_parse_record(entry[3], entry, _NODE, diags, shared, tuple(ids)))
     nodes.reverse()
     return tuple(nodes), root["id"]
 
@@ -349,14 +367,15 @@ def parse_document_dict(
             diags.append(Diagnostic("E_SCHEMA", "/", f"missing required section {section!r}"))
     diags.extend(_unknown_keys(doc))
 
-    tables = _parse_list(doc, "tables", (), _TABLE, diags)
-    nodes, root_id = _parse_tree(doc, diags)
+    shared: dict = {}
+    tables = _parse_list(doc, "tables", (), _TABLE, diags, shared)
+    nodes, root_id = _parse_tree(doc, diags, shared)
     model = TaxonomyModel(
-        traits=_parse_list(doc, "traits", (), _TRAIT, diags),
-        categories=_categories(doc, tables, diags),
+        traits=_parse_list(doc, "traits", (), _TRAIT, diags, shared),
+        categories=_categories(doc, tables, diags, shared),
         nodes=nodes,
         root_id=root_id,
-        channels=_parse_list(doc, "channels", (), _CHANNEL, diags),
+        channels=_parse_list(doc, "channels", (), _CHANNEL, diags, shared),
         tables=tables,
         metadata=dict(_field(doc, "meta", "object", (), diags, {})),
     )
@@ -444,35 +463,38 @@ _QUOTED_SEPARATORS = tuple(f'"{separator}"' for separator in _SEPARATORS)
 # _dumps, and the newline and indent of each level shared from _NEWLINES
 # and _SEPARATORS.
 
-def _put_strings(out: list, items: Any, level: int) -> None:
+def _strings_text(items: Any, level: int) -> str:
     """The JSON list of items, its key at indent level `level`. ASCII
     strings that need no escape are quoted by one join, other strings one
     at a time; a list that holds another value is written by _dumps."""
     if not items:
-        out.append("[]")
-        return
+        return "[]"
     try:
         joined = "".join(items)
     except TypeError:
-        out.append(_dumps(items, _NEWLINES[level]))
-        return
+        return _dumps(items, _NEWLINES[level])
     if joined.isascii() and len(encode_basestring(joined)) == len(joined) + 2:
         text = '"' + _QUOTED_SEPARATORS[level + 1].join(items) + '"'
     else:
         text = _SEPARATORS[level + 1].join(map(_string_text, items))
-    out += ("[", _NEWLINES[level + 1], text, _NEWLINES[level], "]")
+    return "".join(("[", _NEWLINES[level + 1], text, _NEWLINES[level], "]"))
 
 
-def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
+def _put_records(out: list, items: Any, record: _Record, level: int,
+                 texts: list, kept: list) -> None:
     """The JSON list of the records items, its key at indent level `level`.
     A value whose class is not the one its field declares, as a model built
     in code may hold, goes to the writer of its field's kind: in a string
-    field (say an int id) to _dumps, in a list field (say a set) as a list."""
+    field (say an int id) to _dumps, in a list field (say a set) as a list.
+    A list of strings of its field's class is written once per level and
+    call: texts[level] maps its id to its text, and kept holds it, so that
+    no other list takes its id while the call runs."""
     if not items:
         out.append("[]")
         return
     append = out.append
     newline, separator = _NEWLINES[level + 2], _SEPARATORS[level + 2]
+    written = texts[level + 2]
     out += ("[", _NEWLINES[level + 1])
     for obj in items:
         out += ("{", newline)
@@ -483,12 +505,18 @@ def _put_records(out: list, items: Any, record: _Record, level: int) -> None:
                     append(encode_basestring(value) if value.isascii() else _string_text(value))
                 else:
                     append("null" if value is None else _dumps(value, newline))
+            elif kind != "strings":
+                _put_records(out, value if value.__class__ is cls else list(value),
+                             kind, level + 2, texts, kept)
+            elif value.__class__ is cls:
+                text = written.get(id(value))
+                if text is None:
+                    text = _strings_text(sorted(value) if cls is frozenset else value, level + 2)
+                    written[id(value)] = text
+                    kept.append(value)
+                append(text)
             else:
-                listed = value if value.__class__ is cls else list(value)
-                if kind == "strings":
-                    _put_strings(out, sorted(listed) if cls is frozenset else listed, level + 2)
-                else:
-                    _put_records(out, listed, kind, level + 2)
+                append(_strings_text(sorted(value) if cls is frozenset else list(value), level + 2))
             append(separator)
         out[-1] = _NEWLINES[level + 1]
         out += ("}", _SEPARATORS[level + 1])
@@ -552,9 +580,10 @@ def serialize_taxonomy_document(model: TaxonomyModel) -> str:
     pieces that is joined once."""
     out = ["{", _NEWLINES[1], '"schema_version": ', encode_basestring(SCHEMA_VERSION),
            _SEPARATORS[1], '"meta": ', _dumps(dict(model.metadata), _NEWLINES[1])]
+    texts, kept = [{} for _ in _NEWLINES], []
     for key, record in _SECTIONS.items():
         out += (_SEPARATORS[1], f'"{key}": ')
-        _put_records(out, getattr(model, key), record, 1)
+        _put_records(out, getattr(model, key), record, 1, texts, kept)
     if model.tree is not None:
         out += (_SEPARATORS[1], '"tree": ')
         _put_tree(out, model)
@@ -581,9 +610,10 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
     if not isinstance(extension, dict):
         raise IngestError([Diagnostic("E_SCHEMA", "/", "extension must be a JSON object")])
     diags = _unknown_keys(extension)
+    shared: dict = {}
     tables = list(base.tables)
     by_name = {t.name: i for i, t in enumerate(tables)}
-    for table in _parse_list(extension, "tables", (), _TABLE, diags):
+    for table in _parse_list(extension, "tables", (), _TABLE, diags, shared):
         if table.name not in by_name:
             tables.append(table)
             continue
@@ -606,9 +636,9 @@ def merge_extension(base: TaxonomyModel, extension: dict) -> TaxonomyModel:
             trait_columns=tuple(columns), rows=tuple(rows)
         )
 
-    new_traits = _parse_list(extension, "traits", (), _TRAIT, diags)
-    new_categories = _categories(extension, tables, diags)
-    new_channels = _parse_list(extension, "channels", (), _CHANNEL, diags)
+    new_traits = _parse_list(extension, "traits", (), _TRAIT, diags, shared)
+    new_categories = _categories(extension, tables, diags, shared)
+    new_channels = _parse_list(extension, "channels", (), _CHANNEL, diags, shared)
     if diags:
         raise IngestError(sorted(diags))
 

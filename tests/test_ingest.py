@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -377,6 +378,42 @@ def large_model():
 def test_serializer_writes_the_bytes_of_json_dumps_on_a_large_model():
     m = large_model()
     assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
+
+
+def test_lists_written_once_per_call_keep_the_bytes_of_json_dumps():
+    """The serializer writes a list of its field's class once per call and
+    level. Lists and sets, which it copies, equal but distinct tuples, one
+    tuple held by records at two levels (a category's group path and a
+    row's marks), and the tuples of rows that tables yield anew keep the
+    bytes of json.dumps."""
+    shared = ("Economic Policy", "Shared")
+    categories = tuple(
+        M.PolicyCategory(
+            f"c{i}", f"C{i}",
+            group_path=([f"G{i}", "x"], shared, tuple(list(shared)), (f"H{i}",))[i % 4],
+            cross_tags=({f"t{i}", "a"}, frozenset({"a", "b"}), [f"u{i}"], frozenset())[i % 4],
+        )
+        for i in range(64)
+    )
+    rows = tuple(
+        M.TableRow(f"c{i}", ([f"m{i}", "n"], shared, ("n",))[i % 3]) for i in range(64)
+    )
+    m = M.TaxonomyModel(
+        categories=categories,
+        channels=(M.TransactionChannel("ch", "government", shared, "Ch"),),
+        tables=(M.CheckTable("main", "Main", shared, rows),),
+    )
+    assert ingest.serialize_taxonomy_document(m) == stdlib_dumps(model_to_document(m))
+
+    # Rows a table yields anew hold new tuples, freed once their table is
+    # written; the writer keeps each list it wrote, so none takes its id.
+    def yielded_rows(table):
+        return map(lambda i: M.TableRow(f"c{i}", (f"{table}{i}",)), range(3))
+
+    yielded = M.TaxonomyModel(tables=tuple(M.CheckTable(t, t, (), yielded_rows(t)) for t in "ab"))
+    held = M.TaxonomyModel(
+        tables=tuple(M.CheckTable(t, t, (), tuple(yielded_rows(t))) for t in "ab"))
+    assert ingest.serialize_taxonomy_document(yielded) == stdlib_dumps(model_to_document(held))
 
 
 # ---------------------------------------------------------------------------
@@ -1171,3 +1208,46 @@ def test_bulk_builders_start_no_collection_while_they_run(collector):
     assert diags == []
     assert len(schemas) == sum(2 * len(range(i % 3, 20, 3)) for i in range(2000))
     assert started_in == []
+
+
+def shared_path_document(categories, depth):
+    """generated_document with every category under one group path `depth`
+    names long, and a cross tag on every other one."""
+    doc = generated_document(categories)
+    for i, category in enumerate(doc["categories"]):
+        category["group_path"] = ["Economic Policy", *(f"Level {d}" for d in range(depth))]
+        category["cross_tags"] = ["fiscal"] if i % 2 else []
+    return doc
+
+
+def test_equal_strings_and_string_lists_parse_into_one_object():
+    text = json.dumps(shared_path_document(1000, 100))
+    tracemalloc.start()
+    try:
+        model, diags = ingest.parse_taxonomy_document(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert diags == []
+    categories = model.categories
+    assert all(c.group_path is categories[0].group_path for c in categories)
+    assert all(c.cross_tags is categories[i % 2].cross_tags for i, c in enumerate(categories))
+    rows = model.tables[0].rows
+    assert all(r.marks is rows[i % 3].marks for i, r in enumerate(rows))
+    # A mark and the table column of the same trait are one string.
+    columns = {t: t for t in model.tables[0].trait_columns}
+    assert all(m is columns[m] for r in rows for m in r.marks)
+    # Python 3.11 measures 0.7 MiB; with a str and a tuple per occurrence
+    # the model held 7.6 MiB, and the bound is under a quarter of that.
+    assert retained <= 1.5 * 2**20, retained / 2**20
+
+
+def test_sharing_keeps_a_str_subclass_in_a_list_as_its_own_object():
+    doc = shared_path_document(3, 2)
+    doc["categories"][1]["group_path"][1] = Text("Level 0")
+    model, diags = ingest.parse_document_dict(doc)
+    assert diags == []
+    a, b, c = (category.group_path for category in model.categories)
+    assert a == b == c and a is c and b is not a
+    assert b[1].__class__ is Text and a[1].__class__ is str
+    assert b[0].__class__ is str
